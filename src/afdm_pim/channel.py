@@ -28,6 +28,8 @@ class ChannelRealization:
         object.__setattr__(self, "dopplers", np.asarray(self.dopplers, dtype=int))
         if not (len(self.gains) == len(self.delays) == len(self.dopplers)):
             raise ValueError("gains, delays, and dopplers must have equal length")
+        if len(self.gains) == 0:
+            raise ValueError("a channel realization needs at least one path")
 
     @property
     def n_paths(self) -> int:

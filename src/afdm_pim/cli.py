@@ -107,7 +107,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     sections = read_config_file(args.config)
     scenario = scenario_from_sections(sections, name=os.path.basename(args.config))
     params = _parse_pso_overrides(args.pso_params, _pso_params_from_sections(sections))
-    seed = _resolve_seed(args.seed, scenario.seed) or 1
+    seed = _resolve_seed(args.seed, scenario.seed)
     ctx = build_objective_context(scenario.cfg, scenario.p_paths)
     result = pso_optimize(scenario.cfg, ctx, params, RandomSource(seed).generator())
     if args.out:

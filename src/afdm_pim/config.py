@@ -77,6 +77,10 @@ class SystemConfig:
             object.__setattr__(
                 self, "post_chirp", default_c1(n, self.max_doppler)
             )
+        elif not (math.isfinite(self.post_chirp) and self.post_chirp >= 0):
+            raise ValueError(
+                f"post_chirp={self.post_chirp} must be finite and non-negative"
+            )
 
     @property
     def group_size(self) -> int:

@@ -88,7 +88,9 @@ def codeword_time_signals(
     c2 = alphabet.array[table.assignments]  # (C, N)
     pre = table.symbols * np.exp(2j * np.pi * c2 * m**2)
     idft = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-    return (pre @ idft) * np.exp(2j * np.pi * cfg.post_chirp * m**2)
+    signals = (pre @ idft) * np.exp(2j * np.pi * cfg.post_chirp * m**2)
+    signals.flags.writeable = False  # shared as `candidates` by every detector
+    return signals
 
 
 def path_image_tensor(
@@ -117,9 +119,9 @@ def path_image_tensor(
 class MLDetector:
     """Exhaustive joint detector over all 2**B codewords, metric in the time domain.
 
-    Candidate time-domain frames are precomputed once; each detection applies
-    the (known) channel operator to all candidates and picks the closest one,
-    breaking ties toward the lowest payload value.
+    Candidate time-domain frames are precomputed once; each detection maps all
+    candidates through the (known) channel operator H in one matrix product
+    and picks the closest image, breaking ties toward the lowest payload value.
     """
 
     def __init__(
@@ -133,42 +135,37 @@ class MLDetector:
         table = codeword_table(cfg, alphabet, cap)
         self.payload_bits = table.payload_bits
         self.candidates = codeword_time_signals(cfg, alphabet, cap)
-        n = cfg.n_subcarriers
-        m = np.arange(n)
-        self._shift_idx = {
-            d: (m - d) % n for d in range(cfg.max_delay + 1)
-        }
-        self._path_gain_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _path_phases(self, delay: int, doppler: int) -> np.ndarray:
+    def _cell(self, delay: int, doppler: int) -> tuple[np.ndarray, np.ndarray]:
+        """Unit-gain path operator of one (delay, Doppler) cell, one entry per row:
+        (flat positions in the N x N operator, prefix correction x Doppler ramp)."""
         key = (delay, doppler)
-        cached = self._path_gain_cache.get(key)
-        if cached is None:
+        cell = self._cells.get(key)
+        if cell is None:
             n = self.cfg.n_subcarriers
             idx = np.arange(n)
-            cached = cpp_phase_profile(self.cfg, delay) * np.exp(
+            entries = cpp_phase_profile(self.cfg, delay) * np.exp(
                 -2j * np.pi * (doppler / n) * idx
             )
-            self._path_gain_cache[key] = cached
-        return cached
+            cell = self._cells[key] = (idx * n + (idx - delay) % n, entries)
+        return cell
 
     def candidate_images(self, ch: ChannelRealization) -> np.ndarray:
         """All candidate received frames (C, N) under the given channel, noise-free."""
-        received = np.zeros_like(self.candidates)
-        for h, d, a in zip(ch.gains, ch.delays, ch.dopplers):
-            d, a = int(d), int(a)
-            idx = self._shift_idx.get(d)
-            if idx is None:
-                n = self.cfg.n_subcarriers
-                idx = (np.arange(n) - d) % n
-            received += h * self._path_phases(d, a)[None, :] * self.candidates[:, idx]
-        return received
+        n = self.cfg.n_subcarriers
+        op = np.zeros(n * n, dtype=complex)
+        for h, d, a in zip(ch.gains.tolist(), ch.delays.tolist(), ch.dopplers.tolist()):
+            pos, entries = self._cell(d, a)
+            op[pos] += h * entries
+        return self.candidates @ op.reshape(n, n).T
 
     def detect(self, r: np.ndarray, ch: ChannelRealization) -> tuple[np.ndarray, float]:
         """Return (payload bits, squared-distance metric) of the ML codeword."""
-        r = np.asarray(r, dtype=complex)
-        images = self.candidate_images(ch)
-        metrics = np.sum(np.abs(r[None, :] - images) ** 2, axis=1)
+        residual = self.candidate_images(ch)
+        residual -= np.asarray(r, dtype=complex)
+        parts = residual.view(float)  # (C, 2N): real and imaginary parts
+        metrics = np.einsum("ij,ij->i", parts, parts)
         best = int(np.argmin(metrics))  # argmin takes the first = lowest payload
         return self.payload_bits[best].copy(), float(metrics[best])
 

@@ -297,4 +297,6 @@ def codeword_table(
         perms = np.array([_perm_unrank(r, n_c) for r in range(2**b2)], dtype=np.int8)
         assignments = perms[words].reshape(count, cfg.n_subcarriers)
 
+    for arr in (payload, symbols, assignments):
+        arr.flags.writeable = False  # shared by every caller of the cache
     return CodewordTable(payload_bits=payload, symbols=symbols, assignments=assignments)

@@ -205,6 +205,13 @@ def test_effective_channel_regression_fixture():
         assert eff.matrix[i, j] == pytest.approx(value, abs=1e-12)
 
 
+def test_zero_path_channel_is_rejected():
+    with pytest.raises(ValueError, match="at least one path"):
+        ChannelRealization(np.array([]), np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="at least one path"):
+        channel_from_text("")
+
+
 def test_channel_text_roundtrip():
     ch = ChannelRealization(
         gains=np.array([0.25 - 0.5j, -1.0 + 0.125j]),

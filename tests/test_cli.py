@@ -1,7 +1,10 @@
 import pytest
 
+from afdm_pim import cli
 from afdm_pim.cli import main
+from afdm_pim.config import RandomSource
 from afdm_pim.mapping import load_alphabet
+from afdm_pim.optimizer import pso_optimize
 
 CONFIG_TEXT = """\
 [system]
@@ -111,6 +114,22 @@ def test_optimize_emits_alphabet_and_log(config_path, tmp_path, capsys):
     log_lines = log.read_text().splitlines()
     assert log_lines[0] == "iteration,best_fitness"
     assert len(log_lines) == 10  # initial evaluation + 8 iterations
+
+
+def test_optimize_seed_zero_is_its_own_draw(config_path, monkeypatch):
+    monkeypatch.delenv("SIM_SEED", raising=False)
+    states = []
+
+    def spy(cfg, ctx, params, rng):
+        states.append(rng.bit_generator.state)
+        return pso_optimize(cfg, ctx, params, rng)
+
+    monkeypatch.setattr(cli, "pso_optimize", spy)
+    for seed in (0, 1):
+        args = ["optimize", config_path, "--pso-params", "particles=4,iterations=1"]
+        assert main(args + ["--seed", str(seed)]) == 0
+    assert states == [RandomSource(seed).generator().bit_generator.state for seed in (0, 1)]
+    assert states[0] != states[1]
 
 
 def test_optimize_rejects_unknown_pso_key(config_path, capsys):

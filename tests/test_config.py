@@ -51,6 +51,12 @@ def test_validation_errors():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.125])
+def test_post_chirp_must_be_finite_and_non_negative(bad):
+    with pytest.raises(ValueError, match="post_chirp"):
+        SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, post_chirp=bad)
+
+
 def test_placement_capacity_metadata():
     ok = SystemConfig(n_subcarriers=6, n_groups=2, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1)
     assert ok.placement_capacity == 6

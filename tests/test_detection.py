@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from afdm_pim.detection import (
     path_image_tensor,
 )
 from afdm_pim.mapping import (
+    DEFAULT_ENUMERATION_CAP,
     PreChirpAlphabet,
     bits_to_frame,
     codeword_table,
@@ -25,6 +28,7 @@ from afdm_pim.mapping import (
     frame_bit_count,
     int_to_bits,
 )
+from afdm_pim.simulate import make_preset
 from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
 BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
@@ -33,6 +37,37 @@ CFG8 = SystemConfig(
     n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=1, max_doppler=2, cpp_length=1
 )
 AL4 = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
+FIG8 = make_preset("fig8_hi")
+BASELINE = make_preset("baseline_afdm")
+# the baseline's QPSK, 4-path, d_max = 2 geometry on N = 4: 4^4 codewords
+BASELINE4 = SystemConfig(
+    n_subcarriers=4, n_groups=1, alphabet_size=1, constellation_order=4,
+    max_delay=2, max_doppler=2, cpp_length=2,
+)
+
+# with the default post-chirp and even N the prefix correction is 1; an
+# off-grid post-chirp makes its rows differ from the circular shift
+CFG8_OFF_GRID = replace(CFG8, post_chirp=0.17)
+
+# (cfg, alphabet, geometry): each geometry puts two paths on one cell, and
+# where d_max > 0 a path at d_max, so the prefix-correction rows are used
+GEOMETRY_CASES = [
+    pytest.param(FIG8.cfg, FIG8.alphabet, [(0, 1), (0, 1), (0, -2)], id="fig8_hi"),
+    pytest.param(CFG8, AL4, [(1, 2), (1, 2), (0, -1)], id="cfg8"),
+    pytest.param(CFG8_OFF_GRID, AL4, [(1, 2), (1, 2), (0, -1)], id="cfg8_post_chirp_0.17"),
+    pytest.param(
+        BASELINE4, BASELINE.alphabet, [(2, -2), (0, 1), (2, -2), (1, 0)],
+        id="baseline_afdm_n4",
+    ),
+]
+
+
+def exhaustive_search(r, ch, cfg, alphabet, cap=DEFAULT_ENUMERATION_CAP):
+    """(payload bits, metric) of the closest image under the dense operator."""
+    images = codeword_time_signals(cfg, alphabet, cap) @ time_domain_operator(ch, cfg).T
+    metrics = np.sum(np.abs(r[None, :] - images) ** 2, axis=1)
+    best = int(np.argmin(metrics))
+    return codeword_table(cfg, alphabet, cap).payload_bits[best], float(metrics[best])
 
 
 def test_build_phi_identity_geometry_returns_x():
@@ -152,6 +187,50 @@ def test_detector_rejects_oversized_codebooks():
 
     with pytest.raises(EnumerationCapExceeded):
         MLDetector(BPSK42, AL2, cap=32)
+
+
+@pytest.mark.parametrize("cfg, alphabet, geometry", GEOMETRY_CASES)
+def test_detect_matches_exhaustive_operator_search(cfg, alphabet, geometry):
+    detector = MLDetector(cfg, alphabet)
+    rng = RandomSource(41).generator()
+    delays, dopplers = (np.array(v) for v in zip(*geometry))
+    paths = len(geometry)
+    errors = 0
+    for _ in range(24):
+        payload = rng.integers(0, 2, frame_bit_count(cfg))
+        frame = bits_to_frame(payload, cfg, alphabet)
+        gains = np.sqrt(0.5 / paths) * (
+            rng.standard_normal(paths) + 1j * rng.standard_normal(paths)
+        )
+        ch = ChannelRealization(gains, delays, dopplers)
+        s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
+        r = remove_cpp(apply_channel_time(add_cpp(s, cfg), ch, cfg, rng, 0.3), cfg)
+        detected, metric = detector.detect(r, ch)
+        expected, expected_metric = exhaustive_search(r, ch, cfg, alphabet)
+        assert np.array_equal(detected, expected)
+        assert metric == pytest.approx(expected_metric, rel=1e-12)
+        errors += count_bit_errors(payload, detected)
+    assert errors > 0  # the noise reaches decisions, not only easy ones
+
+
+@pytest.mark.parametrize("cfg, alphabet, geometry", GEOMETRY_CASES)
+def test_candidate_images_are_gain_weighted_path_images(cfg, alphabet, geometry):
+    rng = RandomSource(42).generator()
+    gains = rng.standard_normal(len(geometry)) + 1j * rng.standard_normal(len(geometry))
+    delays, dopplers = (np.array(v) for v in zip(*geometry))
+    ch = ChannelRealization(gains, delays, dopplers)
+    expected = path_image_tensor(cfg, alphabet, geometry) @ gains
+    images = MLDetector(cfg, alphabet).candidate_images(ch)
+    assert np.max(np.abs(images - expected)) < 1e-12
+
+
+def test_codeword_time_signals_are_read_only():
+    signals = codeword_time_signals(BPSK42, AL2, DEFAULT_ENUMERATION_CAP)
+    assert MLDetector(BPSK42, AL2).candidates is signals
+    with pytest.raises(ValueError, match="read-only"):
+        signals[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        signals *= 2.0
 
 
 def test_count_bit_errors():

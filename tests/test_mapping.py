@@ -130,6 +130,15 @@ def test_single_value_alphabet_collapses_index_bits():
     assert frame.pcpg.assignment == (0,) * 8
 
 
+def test_codeword_table_arrays_are_read_only():
+    table = codeword_table(BPSK42, AL2)
+    for arr in (table.payload_bits, table.symbols, table.assignments):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1
+
+
 def test_codeword_table_matches_iterator():
     table = codeword_table(BPSK42, AL2)
     for idx, frame in enumerate(enumerate_codewords(BPSK42, AL2)):
