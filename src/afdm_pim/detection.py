@@ -75,13 +75,18 @@ def build_phi(
     return CodewordChannel(phi=phi)
 
 
-@lru_cache(maxsize=8)
 def codeword_time_signals(
     cfg: SystemConfig,
     alphabet: PreChirpAlphabet,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Prefix-free time-domain frames of every codeword, (C, N), in payload order."""
+    return _codeword_time_signals(cfg, alphabet, cap)
+
+
+# keyed positionally, so calls that pass or omit the default cap share one entry
+@lru_cache(maxsize=8)
+def _codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> np.ndarray:
     table = codeword_table(cfg, alphabet, cap)
     n = cfg.n_subcarriers
     m = np.arange(n)

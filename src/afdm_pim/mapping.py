@@ -260,13 +260,18 @@ class CodewordTable:
     assignments: np.ndarray  # (C, N) int8
 
 
-@lru_cache(maxsize=8)
 def codeword_table(
     cfg: SystemConfig,
     alphabet: PreChirpAlphabet,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CodewordTable:
     """Materialize the codebook as arrays (cached; used by detection and analysis)."""
+    return _codeword_table(cfg, alphabet, cap)
+
+
+# keyed positionally, so calls that pass or omit the default cap share one entry
+@lru_cache(maxsize=8)
+def _codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> CodewordTable:
     b_total = frame_bit_count(cfg)
     count = 2**b_total
     if count > cap:

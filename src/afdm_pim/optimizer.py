@@ -19,7 +19,7 @@ from .mapping import (
     group_pattern_codebook,
 )
 
-_BATCH_ELEMENTS = 1 << 24  # cap on the broadcast tensor size per fitness chunk
+_BATCH_ELEMENTS = 1 << 24  # cap on the broadcast tensor size per collision-score chunk
 
 # Asymptotic SNR on index error events that the swarm may trade for objective.
 COLLISION_BUDGET_DB = 0.25
@@ -43,6 +43,14 @@ class ObjectiveContext:
     col_index: np.ndarray  # (R, P, N) = (row + offset) mod N
     col_sq: np.ndarray  # col_index ** 2
     row_sq: np.ndarray  # (N,) row ** 2
+    # Hamming-2 pairs are transpositions; pairs sharing (u, v, a, b) score alike
+    pair_class: np.ndarray  # (n_pairs,) index of each pair's class
+    class_ab: np.ndarray  # (Q, 2) alphabet indices (a, b); delta = c[b] - c[a]
+    # per class, the distinct (A, B) of the non-zero terms 1 - cos(2 pi (delta A -
+    # delta B)) of the reduced objective, and how many (placement, path, row) share them
+    term_col: np.ndarray  # (Q, 8) A = +-col^2
+    term_row: np.ndarray  # (Q, 8) B = +-row^2
+    term_weight: np.ndarray  # (Q, 8) multiplicity W
     # per support size: (subcarriers, alphabet index a, alphabet index b), each (T, s)
     collision_terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     # distinct symbol pairs (x, x'): |x|^2 + |x'|^2, x conj(x'), multiplicity
@@ -70,12 +78,8 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
         [sum(combo, ()) for combo in product(group_patterns, repeat=cfg.n_groups)],
         dtype=np.int8,
     )
-    pairs = tuple(
-        (j, k)
-        for j in range(len(patterns))
-        for k in range(j + 1, len(patterns))
-        if int(np.count_nonzero(patterns[j] != patterns[k])) == 2
-    )
+    hamming = np.count_nonzero(patterns[:, None, :] != patterns[None, :, :], axis=2)
+    pair_j, pair_k = np.nonzero(np.triu(hamming == 2, 1))
 
     row = np.arange(n)
     col_index = np.empty((len(placements), p_paths, n), dtype=np.int64)
@@ -87,10 +91,11 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
         p_paths=p_paths,
         placements=placements,
         patterns=patterns,
-        pairs=pairs,
+        pairs=tuple(zip(pair_j.tolist(), pair_k.tolist())),
         col_index=col_index,
         col_sq=col_index.astype(float) ** 2,
         row_sq=row.astype(float) ** 2,
+        **_pair_classes(patterns[pair_j], patterns[pair_k], col_index),
         collision_terms=_collision_terms(group_patterns, cfg),
         symbol_pairs=_symbol_pairs(cfg),
         collision_limit=math.inf,
@@ -99,6 +104,45 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
         p_paths * COLLISION_BUDGET_DB / 10
     )
     return replace(ctx, collision_limit=limit)
+
+
+def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray) -> dict:
+    """Class tables of the Hamming-2 pairs (pj[i], pk[i]) for `_pair_objectives`.
+
+    A pair that swaps alphabet indices a and b on subcarriers u < v has
+    diff = c[pk] - c[pj] equal to delta = c[b] - c[a] on u, -delta on v and 0
+    elsewhere, so its reduced objective depends only on (u, v, a, b). A term
+    of `reduced_objective` is non-zero only where its column or its row is u
+    or v; its argument is then 2 pi (delta A - delta B) with A = +u^2, -v^2 or
+    0 from the column and B likewise from the row.
+    """
+    n = col_index.shape[-1]
+    sub = np.arange(n)
+    u, v = np.nonzero(pj != pk)[1].reshape(-1, 2).T
+    rows = np.arange(len(u))
+    a, b = pj[rows, u], pk[rows, u]
+    if np.any(pj[rows, v] != b) or np.any(pk[rows, v] != a):
+        raise ValueError("every Hamming-2 pattern pair must be a transposition")
+    keys, pair_class = np.unique(np.stack([u, v, a, b], axis=1), axis=0, return_inverse=True)
+    cu, cv = keys[:, 0], keys[:, 1]
+    # hits[n, m]: how many (placement, path) read column m on row n
+    hits = np.bincount((sub * n + col_index).ravel(), minlength=n * n).reshape(n, n)
+    hu, hv = hits[:, cu].T, hits[:, cv].T  # (Q, N)
+    # per row, the (placement, path) count of column code 0: other, 1: u, 2: v
+    col_count = np.stack([col_index.size // n - hu - hv, hu, hv], axis=1)  # (Q, 3, N)
+    row_code = (sub == cu[:, None]) + 2 * (sub == cv[:, None])  # (Q, N)
+    weight = np.einsum("qcn,qnr->qcr", col_count, np.eye(3, dtype=np.int64)[row_code])
+    coeff = np.stack(
+        [np.zeros(len(keys)), cu.astype(float) ** 2, -(cv.astype(float) ** 2)], axis=1
+    )  # (Q, 3): the factor of +-delta for codes 0, 1, 2
+    # code (0, 0) has a zero argument and drops out
+    return dict(
+        pair_class=pair_class.reshape(-1),
+        class_ab=keys[:, 2:],
+        term_col=np.repeat(coeff, 3, axis=1)[:, 1:],
+        term_row=np.tile(coeff, 3)[:, 1:],
+        term_weight=weight.reshape(len(keys), 9)[:, 1:].astype(float),
+    )
 
 
 def _collision_terms(group_patterns, cfg: SystemConfig) -> tuple:
@@ -143,25 +187,17 @@ def _check_pair(ctx: ObjectiveContext, pair: tuple[int, int]) -> tuple[int, int]
 def _pair_objectives(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     """Reduced objective of every Hamming-2 pair, batched over alphabets.
 
-    values: (..., lambda). Returns (..., n_pairs).
+    values: (..., lambda). Returns (..., n_pairs). Each class sums its
+    weighted terms, which are the same floating-point values as the terms of
+    `reduced_objective`; only the order of the sum differs.
     """
     values = np.asarray(values, dtype=float)
-    squeeze = values.ndim == 1
     vals = np.atleast_2d(values)  # (F, lambda)
-    pj = np.array([ctx.patterns[j] for j, _ in ctx.pairs])  # (n_pairs, N)
-    pk = np.array([ctx.patterns[k] for _, k in ctx.pairs])
-    out = np.empty((vals.shape[0], len(ctx.pairs)), dtype=float)
-    r_count, p_count, n = ctx.col_index.shape
-    per_pair = vals.shape[0] * r_count * p_count * n
-    step = max(1, _BATCH_ELEMENTS // max(per_pair, 1))
-    for lo in range(0, len(ctx.pairs), step):
-        hi = min(lo + step, len(ctx.pairs))
-        diff = vals[:, pk[lo:hi]] - vals[:, pj[lo:hi]]  # (F, q, N)
-        d_col = diff[:, :, ctx.col_index]  # (F, q, R, P, N)
-        d_row = diff[:, :, None, None, :]
-        delta_theta = 2 * np.pi * (d_col * ctx.col_sq - d_row * ctx.row_sq)
-        out[:, lo:hi] = np.sum(1.0 - np.cos(delta_theta), axis=(2, 3, 4))
-    return out[0] if squeeze else out
+    delta = (vals[:, ctx.class_ab[:, 1]] - vals[:, ctx.class_ab[:, 0]])[:, :, None]
+    delta_theta = 2 * np.pi * (delta * ctx.term_col - delta * ctx.term_row)  # (F, Q, 8)
+    per_class = np.sum(ctx.term_weight * (1.0 - np.cos(delta_theta)), axis=2)
+    out = per_class[:, ctx.pair_class]
+    return out[0] if values.ndim == 1 else out
 
 
 def reduced_objective(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]) -> float:

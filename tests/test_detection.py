@@ -233,6 +233,15 @@ def test_codeword_time_signals_are_read_only():
         signals *= 2.0
 
 
+def test_cached_tables_are_shared_whatever_the_call_form():
+    # the detector passes the cap positionally; other callers may leave it out
+    detector = MLDetector(BPSK42, AL2)
+    assert detector.candidates is codeword_time_signals(BPSK42, AL2)
+    assert detector.candidates is codeword_time_signals(BPSK42, AL2, cap=DEFAULT_ENUMERATION_CAP)
+    assert detector.payload_bits is codeword_table(BPSK42, AL2).payload_bits
+    assert codeword_table(BPSK42, AL2) is codeword_table(BPSK42, AL2, DEFAULT_ENUMERATION_CAP)
+
+
 def test_count_bit_errors():
     assert count_bit_errors([0, 1, 1], [0, 1, 1]) == 0
     assert count_bit_errors([0] * 6, [1] * 6) == 6

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from afdm_pim import optimizer
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import codeword_time_signals
 from afdm_pim.mapping import PreChirpAlphabet, codeword_table
+from afdm_pim.simulate import make_preset
 from afdm_pim.optimizer import (
     PsoParams,
     brute_objective,
@@ -31,6 +33,7 @@ CFG_FIG4 = SystemConfig(
     n_subcarriers=6, n_groups=2, alphabet_size=3, constellation_order=2,
     constellation_kind="PSK", max_delay=1, max_doppler=1, cpp_length=1,
 )
+FIG7 = make_preset("fig7_pim")
 
 
 def test_context_shape():
@@ -45,6 +48,20 @@ def test_context_shape():
     assert len(ctx6.placements) == 20
     assert len(ctx6.patterns) == 16
     assert len(ctx6.pairs) == 32
+    assert ctx6.pairs == tuple(
+        (j, k)
+        for j in range(len(ctx6.patterns))
+        for k in range(j + 1, len(ctx6.patterns))
+        if np.count_nonzero(ctx6.patterns[j] != ctx6.patterns[k]) == 2
+    )
+
+
+def test_context_rejects_pairs_that_are_not_transpositions(monkeypatch):
+    # group patterns that are not permutations: (0, 1, 0, 1) and (1, 1, 1, 1)
+    # differ in two groups, so no swap of alphabet indices relates them
+    monkeypatch.setattr(optimizer, "group_pattern_codebook", lambda lam, n_c: ((0, 1), (1, 1)))
+    with pytest.raises(ValueError, match="transposition"):
+        build_objective_context(CFG_PSK, 2)
 
 
 def test_context_rejects_too_many_paths():
@@ -113,6 +130,54 @@ def test_min_pair_objective():
     cfg6 = SystemConfig(n_subcarriers=6, n_groups=2, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1)
     ctx6 = build_objective_context(cfg6, 3)
     assert min_pair_objective(PreChirpAlphabet((0.29, 0.62, 0.93)), ctx6) > 0.0
+
+
+@pytest.mark.parametrize(
+    "cfg, p_paths",
+    [(CFG_PSK, 2), (CFG_QAM, 2), (CFG_FIG4, 3), (FIG7.cfg, FIG7.p_paths)],
+    ids=["bpsk", "4qam", "fig4", "fig7"],
+)
+def test_batched_pair_objectives_match_reduced_objective(cfg, p_paths):
+    """The class-table scorer against the per-pair oracle on every pair; a
+    pair the oracle scores exactly 0 must score exactly 0."""
+    ctx = build_objective_context(cfg, p_paths)
+    lam = cfg.alphabet_size
+    rng = RandomSource(29).generator()
+    alphabets = np.vstack([np.sort(rng.uniform(0.0, 1.0, (8, lam)), axis=1), uniform_heuristic(lam)])
+    batched = optimizer._pair_objectives(alphabets, ctx)
+    for values, scores in zip(alphabets, batched):
+        oracle = np.array([reduced_objective(values, ctx, pair) for pair in ctx.pairs])
+        for route in (scores, optimizer._pair_objectives(values, ctx)):
+            assert np.array_equal(route == 0.0, oracle == 0.0)
+            assert np.all(np.abs(route - oracle) <= 1e-12 * oracle)
+        best = min_pair_objective(values, ctx)
+        assert abs(best - oracle.min()) <= 1e-12 * oracle.min()
+    if cfg is FIG7.cfg:
+        # uniform_heuristic(4) holds a difference of 1/2: 128 pairs vanish
+        assert np.count_nonzero(batched[-1] == 0.0) == 128
+
+
+@pytest.mark.parametrize(
+    "scenario, params, expected",
+    [
+        (
+            make_preset("fig4"), PsoParams(),
+            (0.16020236802169208, 0.49421332277225594, 0.827207848918685),
+        ),
+        (
+            FIG7, PsoParams(n_particles=4, max_iterations=1),
+            (0.14417734788764952, 0.7111397019903529, 0.8360643052769539, 0.9256223516367559),
+        ),
+    ],
+    ids=["fig4-200x300", "fig7-4x1"],
+)
+def test_pso_seed_42_alphabets_are_pinned(scenario, params, expected):
+    # recorded before the pair objective was scored on classes; numpy's cos may
+    # differ in the last bit across CPUs, but a changed swarm decision moves a
+    # value by far more than the tolerance
+    ctx = build_objective_context(scenario.cfg, scenario.p_paths)
+    res = pso_optimize(scenario.cfg, ctx, params, RandomSource(42).generator())
+    assert res.alphabet.values == pytest.approx(expected, rel=0, abs=1e-9)
 
 
 @pytest.mark.parametrize("cfg", [CFG_PSK, CFG_QAM], ids=["bpsk", "4qam"])
