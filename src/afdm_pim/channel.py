@@ -148,7 +148,7 @@ def cpp_phase_profile(cfg: SystemConfig, delay: int) -> np.ndarray:
     return omega
 
 
-def _time_operator_single(cfg: SystemConfig, delay: int, doppler: int) -> np.ndarray:
+def path_time_operator(cfg: SystemConfig, delay: int, doppler: int) -> np.ndarray:
     """Unit-gain circular time-domain operator Gamma * Delta * Pi^d for one path."""
     n = cfg.n_subcarriers
     idx = np.arange(n)
@@ -164,7 +164,7 @@ def time_domain_operator(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarra
     n = cfg.n_subcarriers
     out = np.zeros((n, n), dtype=complex)
     for h, d, a in zip(ch.gains, ch.delays, ch.dopplers):
-        out += h * _time_operator_single(cfg, int(d), int(a))
+        out += h * path_time_operator(cfg, int(d), int(a))
     return out
 
 
@@ -186,7 +186,7 @@ def build_effective_matrix(
     a_h = a_mat.conj().T
     per_path = []
     for d, alpha in zip(ch.delays, ch.dopplers):
-        per_path.append(a_mat @ _time_operator_single(cfg, int(d), int(alpha)) @ a_h)
+        per_path.append(a_mat @ path_time_operator(cfg, int(d), int(alpha)) @ a_h)
     matrix = sum(h * hp for h, hp in zip(ch.gains, per_path))
     return EffectiveChannel(
         matrix=matrix, per_path=tuple(per_path), offsets=_offsets_or_none(cfg, ch)

@@ -396,7 +396,8 @@ def pso_optimize(
         canon = np.sort(positions, axis=1)
         feasible = np.all((canon > 0.0) & (canon < 1.0), axis=1)
         feasible &= np.all(np.diff(canon, axis=1) > 0.0, axis=1)
-        if np.any(feasible):
+        # an infinite limit admits every score (the even-lambda heuristic's)
+        if np.any(feasible) and math.isfinite(ctx.collision_limit):
             scores = _collision_scores(canon[feasible], ctx)
             feasible[feasible] = scores <= ctx.collision_limit
         fit = np.full(positions.shape[0], -1.0)

@@ -16,6 +16,7 @@ from afdm_pim.detection import (
     build_phi,
     codeword_time_signals,
     count_bit_errors,
+    factor_time_signals,
     ml_detect,
     path_image_tensor,
 )
@@ -37,12 +38,22 @@ CFG8 = SystemConfig(
     n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=1, max_doppler=2, cpp_length=1
 )
 AL4 = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
+FIG7 = make_preset("fig7_pim")
 FIG8 = make_preset("fig8_hi")
 BASELINE = make_preset("baseline_afdm")
 # the baseline's QPSK, 4-path, d_max = 2 geometry on N = 4: 4^4 codewords
 BASELINE4 = SystemConfig(
     n_subcarriers=4, n_groups=1, alphabet_size=1, constellation_order=4,
     max_delay=2, max_doppler=2, cpp_length=2,
+)
+
+# three groups: the head takes two of them (C_h = 2^6, C_t = 2^3)
+CFG_G3 = SystemConfig(
+    n_subcarriers=6, n_groups=3, alphabet_size=2, max_delay=1, max_doppler=1, cpp_length=1
+)
+# one group with lambda > 1: the head is the whole payload (C_t = 1)
+CFG_G1 = SystemConfig(
+    n_subcarriers=4, n_groups=1, alphabet_size=4, max_delay=1, max_doppler=1, cpp_length=1
 )
 
 # with the default post-chirp and even N the prefix correction is 1; an
@@ -59,6 +70,16 @@ GEOMETRY_CASES = [
         BASELINE4, BASELINE.alphabet, [(2, -2), (0, 1), (2, -2), (1, 0)],
         id="baseline_afdm_n4",
     ),
+    pytest.param(CFG_G3, AL2, [(1, 1), (1, 1), (0, -1)], id="three_groups"),
+    pytest.param(CFG_G1, AL4, [(1, 1), (1, 1), (0, -1)], id="one_group"),
+]
+
+# (cfg, alphabet, C_h, C_t): one config per kind of payload split
+SPLIT_CASES = [
+    pytest.param(FIG7.cfg, FIG7.alphabet, 2**8, 2**8, id="two_groups"),
+    pytest.param(CFG_G3, AL2, 2**6, 2**3, id="three_groups"),
+    pytest.param(BASELINE.cfg, BASELINE.alphabet, 2**8, 2**8, id="subcarriers"),
+    pytest.param(CFG_G1, AL4, 2**8, 1, id="one_group"),
 ]
 
 
@@ -215,13 +236,26 @@ def test_detect_matches_exhaustive_operator_search(cfg, alphabet, geometry):
 
 @pytest.mark.parametrize("cfg, alphabet, geometry", GEOMETRY_CASES)
 def test_candidate_images_are_gain_weighted_path_images(cfg, alphabet, geometry):
+    # the images are of the head and tail parts; every head + tail sum is one
+    # codeword's image, so all C codewords are compared
     rng = RandomSource(42).generator()
     gains = rng.standard_normal(len(geometry)) + 1j * rng.standard_normal(len(geometry))
     delays, dopplers = (np.array(v) for v in zip(*geometry))
     ch = ChannelRealization(gains, delays, dopplers)
     expected = path_image_tensor(cfg, alphabet, geometry) @ gains
-    images = MLDetector(cfg, alphabet).candidate_images(ch)
-    assert np.max(np.abs(images - expected)) < 1e-12
+    detector = MLDetector(cfg, alphabet)
+    images, k = detector.candidate_images(ch), detector.n_head
+    sums = (images[:k, None, :] + images[None, k:, :]).reshape(expected.shape)
+    assert np.max(np.abs(sums - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("cfg, alphabet, n_head, n_tail", SPLIT_CASES)
+def test_factor_parts_sum_to_codeword_frames_in_payload_order(cfg, alphabet, n_head, n_tail):
+    parts, k = factor_time_signals(cfg, alphabet)
+    assert (k, len(parts) - k) == (n_head, n_tail)
+    frames = parts[:k, None, :] + parts[None, k:, :]  # [i, j] is codeword i*C_t + j
+    signals = codeword_time_signals(cfg, alphabet)
+    assert np.max(np.abs(frames.reshape(signals.shape) - signals)) < 1e-12
 
 
 def test_codeword_time_signals_are_read_only():
@@ -231,6 +265,10 @@ def test_codeword_time_signals_are_read_only():
         signals[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         signals *= 2.0
+    parts, _ = factor_time_signals(BPSK42, AL2)
+    assert MLDetector(BPSK42, AL2).parts is parts
+    with pytest.raises(ValueError, match="read-only"):
+        parts[0, 0] = 0.0
 
 
 def test_cached_tables_are_shared_whatever_the_call_form():
