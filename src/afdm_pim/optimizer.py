@@ -396,8 +396,7 @@ def pso_optimize(
         canon = np.sort(positions, axis=1)
         feasible = np.all((canon > 0.0) & (canon < 1.0), axis=1)
         feasible &= np.all(np.diff(canon, axis=1) > 0.0, axis=1)
-        # an infinite limit admits every score (the even-lambda heuristic's)
-        if np.any(feasible) and math.isfinite(ctx.collision_limit):
+        if np.any(feasible):
             scores = _collision_scores(canon[feasible], ctx)
             feasible[feasible] = scores <= ctx.collision_limit
         fit = np.full(positions.shape[0], -1.0)

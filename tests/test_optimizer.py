@@ -239,19 +239,6 @@ def test_pso_result_within_collision_limit():
     assert res.fitness == min_pair_objective(res.alphabet, ctx)
 
 
-def test_pso_skips_the_collision_score_under_an_infinite_limit(monkeypatch):
-    # fig7's even-lambda heuristic collides, so its limit admits every alphabet
-    ctx = build_objective_context(FIG7.cfg, FIG7.p_paths)
-    assert ctx.collision_limit == math.inf
-
-    def fail(*_):
-        raise AssertionError("collision score computed under an infinite limit")
-
-    monkeypatch.setattr(optimizer, "_collision_scores", fail)
-    res = pso_optimize(FIG7.cfg, ctx, _small_params(), RandomSource(5).generator())
-    assert res.fitness == min_pair_objective(res.alphabet, ctx)
-
-
 def test_uniform_heuristic_values():
     assert np.allclose(uniform_heuristic(3), [1 / 6, 3 / 6, 5 / 6])
     assert np.allclose(uniform_heuristic(1), [0.5])
