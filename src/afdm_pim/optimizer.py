@@ -107,7 +107,7 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
 
 
 def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray) -> dict:
-    """Class tables of the Hamming-2 pairs (pj[i], pk[i]) for `_pair_objectives`.
+    """Class tables of the Hamming-2 pairs (pj[i], pk[i]) for `_class_objectives`.
 
     A pair that swaps alphabet indices a and b on subcarriers u < v has
     diff = c[pk] - c[pj] equal to delta = c[b] - c[a] on u, -delta on v and 0
@@ -184,19 +184,28 @@ def _check_pair(ctx: ObjectiveContext, pair: tuple[int, int]) -> tuple[int, int]
     return j, k
 
 
+def _class_objectives(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
+    """Reduced objective of every pair class, batched: (F, lambda) -> (F, Q).
+
+    Each class sums its weighted terms, which are the same floating-point
+    values as the terms of `reduced_objective`; only the order of the sum
+    differs. Every class holds at least one pair, so the minimum over classes
+    is the minimum over pairs.
+    """
+    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    delta = (vals[:, ctx.class_ab[:, 1]] - vals[:, ctx.class_ab[:, 0]])[:, :, None]
+    delta_theta = 2 * np.pi * (delta * ctx.term_col - delta * ctx.term_row)  # (F, Q, 8)
+    return np.sum(ctx.term_weight * (1.0 - np.cos(delta_theta)), axis=2)
+
+
 def _pair_objectives(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     """Reduced objective of every Hamming-2 pair, batched over alphabets.
 
-    values: (..., lambda). Returns (..., n_pairs). Each class sums its
-    weighted terms, which are the same floating-point values as the terms of
-    `reduced_objective`; only the order of the sum differs.
+    values: (..., lambda). Returns (..., n_pairs): each pair takes its class's
+    value from `_class_objectives`.
     """
     values = np.asarray(values, dtype=float)
-    vals = np.atleast_2d(values)  # (F, lambda)
-    delta = (vals[:, ctx.class_ab[:, 1]] - vals[:, ctx.class_ab[:, 0]])[:, :, None]
-    delta_theta = 2 * np.pi * (delta * ctx.term_col - delta * ctx.term_row)  # (F, Q, 8)
-    per_class = np.sum(ctx.term_weight * (1.0 - np.cos(delta_theta)), axis=2)
-    out = per_class[:, ctx.pair_class]
+    out = _class_objectives(values, ctx)[:, ctx.pair_class]
     return out[0] if values.ndim == 1 else out
 
 
@@ -323,7 +332,7 @@ def min_pair_objective(alphabet, ctx: ObjectiveContext) -> float:
     """The max-min design target: minimum reduced objective over Hamming-2 pairs."""
     if not ctx.pairs:
         raise ValueError("context has no Hamming-2 pattern pairs")
-    return float(np.min(_pair_objectives(_values_of(alphabet), ctx)))
+    return float(np.min(_class_objectives(_values_of(alphabet), ctx)))
 
 
 @dataclass(frozen=True)
@@ -396,13 +405,13 @@ def pso_optimize(
         canon = np.sort(positions, axis=1)
         feasible = np.all((canon > 0.0) & (canon < 1.0), axis=1)
         feasible &= np.all(np.diff(canon, axis=1) > 0.0, axis=1)
-        if np.any(feasible):
+        # scores are never NaN, so under an infinite limit every one passes
+        if math.isfinite(ctx.collision_limit) and np.any(feasible):
             scores = _collision_scores(canon[feasible], ctx)
             feasible[feasible] = scores <= ctx.collision_limit
         fit = np.full(positions.shape[0], -1.0)
         if np.any(feasible):
-            objs = _pair_objectives(canon[feasible], ctx)
-            fit[feasible] = objs.min(axis=1)
+            fit[feasible] = _class_objectives(canon[feasible], ctx).min(axis=1)
         return fit
 
     n_p = params.n_particles

@@ -134,24 +134,11 @@ def run_ber_sweep(
     source = RandomSource(scenario.seed)
     gain_scale = math.sqrt(1.0 / (2 * scenario.p_paths))
     points: list[BerPoint] = []
-
+    bits = 0
     try:
-        _sweep_points(
-            scenario, detector, b_total, weights, source, gain_scale, points
-        )
-    except KeyboardInterrupt:
-        pass
-    return points
-
-
-def _sweep_points(scenario, detector, b_total, weights, source, gain_scale, points):
-    cfg = scenario.cfg
-    for point_idx, snr_db in enumerate(scenario.snr_grid_db):
-        n0 = noise_variance_from_snr_db(snr_db)
-        errors = 0
-        bits = 0
-        chunk_idx = 0
-        try:
+        for point_idx, snr_db in enumerate(scenario.snr_grid_db):
+            errors = bits = chunk_idx = 0
+            n0 = noise_variance_from_snr_db(snr_db)
             while errors < scenario.min_errors and bits < scenario.min_bits:
                 rng = source.generator(point_idx, chunk_idx)
                 chunk_idx += 1
@@ -187,24 +174,18 @@ def _sweep_points(scenario, detector, b_total, weights, source, gain_scale, poin
                     bits += b_total
                     if errors >= scenario.min_errors or bits >= scenario.min_bits:
                         break
-        except KeyboardInterrupt:
-            if bits > 0:
-                points.append(
-                    BerPoint(
-                        snr_db=snr_db, bits=bits, errors=errors,
-                        ber=errors / bits, kind="simulation",
-                    )
-                )
-            raise
-        points.append(
-            BerPoint(
-                snr_db=snr_db,
-                bits=bits,
-                errors=errors,
-                ber=errors / bits,
-                kind="simulation",
-            )
-        )
+            points.append(_simulation_point(snr_db, bits, errors))
+    except KeyboardInterrupt:
+        # the point in progress, unless the interrupt came after its append
+        if bits > 0 and len(points) == point_idx:
+            points.append(_simulation_point(snr_db, bits, errors))
+    return points
+
+
+def _simulation_point(snr_db: float, bits: int, errors: int) -> BerPoint:
+    return BerPoint(
+        snr_db=snr_db, bits=bits, errors=errors, ber=errors / bits, kind="simulation"
+    )
 
 
 def theory_points(

@@ -152,6 +152,11 @@ def test_batched_pair_objectives_match_reduced_objective(cfg, p_paths):
             assert np.all(np.abs(route - oracle) <= 1e-12 * oracle)
         best = min_pair_objective(values, ctx)
         assert abs(best - oracle.min()) <= 1e-12 * oracle.min()
+        # every class holds a pair: its minimum over classes is the same float
+        assert best == min(optimizer._pair_objectives(values, ctx))
+    assert np.array_equal(
+        optimizer._class_objectives(alphabets, ctx).min(axis=1), batched.min(axis=1)
+    )
     if cfg is FIG7.cfg:
         # uniform_heuristic(4) holds a difference of 1/2: 128 pairs vanish
         assert np.count_nonzero(batched[-1] == 0.0) == 128
@@ -178,6 +183,29 @@ def test_pso_seed_42_alphabets_are_pinned(scenario, params, expected):
     ctx = build_objective_context(scenario.cfg, scenario.p_paths)
     res = pso_optimize(scenario.cfg, ctx, params, RandomSource(42).generator())
     assert res.alphabet.values == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+def test_pso_seed_42_default_fig7_swarm_is_pinned():
+    # the default 200x300 swarm; recorded while the collision score was still
+    # computed under the fig7 geometry's infinite limit
+    ctx = build_objective_context(FIG7.cfg, FIG7.p_paths)
+    res = pso_optimize(FIG7.cfg, ctx, PsoParams(), RandomSource(42).generator())
+    expected = (0.22328063861620118, 0.4232806386162012, 0.6232806386162012, 0.8059020823244499)
+    assert res.alphabet.values == pytest.approx(expected, rel=0, abs=1e-9)
+    assert res.fitness == pytest.approx(447.75698764503204, rel=1e-12)
+
+
+def test_pso_skips_the_collision_score_under_an_infinite_limit(monkeypatch):
+    # the even-lambda heuristic collides, so the fig7 limit admits every score
+    ctx = build_objective_context(FIG7.cfg, FIG7.p_paths)
+    assert ctx.collision_limit == math.inf
+
+    def refuse(values, ctx):
+        raise AssertionError("collision score computed under an infinite limit")
+
+    monkeypatch.setattr(optimizer, "_collision_scores", refuse)
+    res = pso_optimize(FIG7.cfg, ctx, _small_params(), RandomSource(4).generator())
+    assert res.fitness == min_pair_objective(res.alphabet, ctx)
 
 
 @pytest.mark.parametrize("cfg", [CFG_PSK, CFG_QAM], ids=["bpsk", "4qam"])
@@ -232,9 +260,19 @@ def test_collision_rule_rejects_sign_flip_ridge():
     assert collision_score(uniform_heuristic(3), ctx) <= ctx.collision_limit
 
 
-def test_pso_result_within_collision_limit():
+def test_pso_result_within_collision_limit(monkeypatch):
     ctx = build_objective_context(CFG_FIG4, 3)
+    assert math.isfinite(ctx.collision_limit)
+    scored = []
+    score = optimizer._collision_scores
+
+    def counting(values, ctx):
+        scored.append(len(values))
+        return score(values, ctx)
+
+    monkeypatch.setattr(optimizer, "_collision_scores", counting)
     res = pso_optimize(CFG_FIG4, ctx, _small_params(), RandomSource(3).generator())
+    assert scored  # a finite limit is enforced, so the swarm scores
     assert collision_score(res.alphabet, ctx) <= ctx.collision_limit
     assert res.fitness == min_pair_objective(res.alphabet, ctx)
 

@@ -224,6 +224,24 @@ def test_interrupt_reports_partial_results(monkeypatch):
     assert points[-1].bits > 0
 
 
+def test_interrupt_between_points_keeps_finished_points_once(monkeypatch):
+    from afdm_pim import simulate
+
+    full = run_ber_sweep(_tiny(snr=(0.0, 10.0), min_bits=3_000))
+    calls = {"n": 0}
+    original = simulate.noise_variance_from_snr_db
+
+    def interrupt_second_point(snr_db):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise KeyboardInterrupt
+        return original(snr_db)
+
+    monkeypatch.setattr(simulate, "noise_variance_from_snr_db", interrupt_second_point)
+    # the first point is finished and the second has no frame yet
+    assert run_ber_sweep(_tiny(snr=(0.0, 10.0), min_bits=3_000)) == full[:1]
+
+
 def test_run_scenario_preset_returns_csv():
     from afdm_pim.simulate import run_scenario_preset
 
