@@ -1,106 +1,33 @@
 """AFDM with pre-chirp index modulation: waveform, channel, detection, analysis."""
 
-from .analysis import (
-    AbepResult,
-    FullDiversityReport,
-    PairwiseDifference,
-    abep_curve,
-    abep_curve_jakes,
-    abep_upper_bound,
-    check_full_diversity_conditions,
-    diversity_order,
-    jakes_cell_pmf,
-    jakes_doppler_pmf,
-    jakes_geometry_mixture,
-    pairwise_difference,
-    spectral_efficiency,
-    upep,
-)
+from .analysis import diversity_order, spectral_efficiency
 from .channel import (
     ChannelRealization,
-    EffectiveChannel,
     apply_channel_time,
     build_effective_analytic,
     build_effective_matrix,
-    channel_from_text,
-    channel_to_text,
-    cpp_phase_profile,
-    delay_doppler_cells,
     enumerate_placements,
-    path_offset,
     sample_channel,
-    time_domain_operator,
 )
-from .config import (
-    Constellation,
-    RandomSource,
-    SystemConfig,
-    constellation_for,
-    default_c1,
-    make_constellation,
-    normalized_doppler_from_speed,
-    read_config_file,
-    system_config_from_items,
-    validate_config,
-)
-from .detection import (
-    CodewordChannel,
-    MLDetector,
-    build_phi,
-    codeword_time_signals,
-    count_bit_errors,
-    ml_detect,
-    path_image_tensor,
-    phi_tensor,
-)
+from .config import RandomSource, SystemConfig
+from .detection import MLDetector
 from .mapping import (
-    CodewordTable,
-    EnumerationCapExceeded,
-    Frame,
     PreChirpAlphabet,
-    PreChirpPatternGroup,
     bits_to_frame,
-    codeword_table,
     enumerate_codewords,
     frame_bit_count,
-    frame_to_bits,
-    group_pattern_codebook,
-    group_pattern_to_index_bits,
-    index_bits_per_group,
     index_bits_to_group_pattern,
-    load_alphabet,
-    save_alphabet,
-)
-from .optimizer import (
-    ObjectiveContext,
-    PsoParams,
-    PsoResult,
-    brute_objective,
-    brute_objective_equal_symbols,
-    build_objective_context,
-    min_pair_objective,
-    pso_optimize,
-    reduced_objective,
-    uniform_heuristic,
 )
 from .simulate import (
-    PRESETS,
     TABLE_ALPHABETS,
-    BerPoint,
     Scenario,
     make_preset,
     run_ber_sweep,
-    run_scenario,
-    run_scenario_preset,
-    scenario_from_sections,
     theory_points,
-    write_csv,
 )
 from .transceiver import (
-    DaftMatrices,
     add_cpp,
     build_daft,
-    demodulate,
     modulate,
     remove_cpp,
     subcarrier_inner_product,

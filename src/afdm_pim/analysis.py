@@ -62,15 +62,6 @@ def upep(pair: PairwiseDifference, p_paths: int, n0: float) -> float:
     return _upep_from_eigs(kept, p_paths, n0)
 
 
-@dataclass(frozen=True)
-class AbepResult:
-    """Union-bound average bit error probability, clipped to [0, 1]."""
-
-    bound: float
-    n0: float
-    geometries: tuple
-
-
 def _pair_chunks(count: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Unordered index pairs (i < j) over range(count), yielded in chunks."""
     buf_i: list[np.ndarray] = []
@@ -95,27 +86,44 @@ def _masked_eigs(psi: np.ndarray) -> np.ndarray:
     return np.where(eigs > RANK_TOLERANCE * top, eigs, 0.0)
 
 
-def _bound_accumulator(
-    phi: np.ndarray, payload: np.ndarray, col_var: np.ndarray, n0: np.ndarray
+def _union_bound(
+    cfg: SystemConfig,
+    alphabet: PreChirpAlphabet,
+    p_paths: int,
+    mixture: Sequence[tuple[Geometry, Sequence[int], float]],
+    n0_values: Sequence[float],
+    cap: int,
 ) -> np.ndarray:
-    """Sum over ordered codeword pairs of UPEP * bit errors, for several n0.
+    """Union-bound ABEP over a weighted mixture of path supports, for several n0.
 
-    col_var holds the gain variance of each path column; it is absorbed into
-    the Gram spectrum so the error-probability products need no extra scale.
+    Each (support, multiplicities, weight) triple adds weight times the sum
+    over ordered codeword pairs of UPEP * bit errors. A support column's gain
+    variance is its multiplicity over P; it is absorbed into the Gram spectrum
+    so the error-probability products need no extra scale.
     """
-    count = phi.shape[0]
-    scale = np.sqrt(col_var)
+    n0 = np.asarray(n0_values, dtype=float)
+    if np.any(n0 <= 0):
+        raise ValueError("noise variances must be positive")
+    table = codeword_table(cfg, alphabet, cap)
+    b_total = frame_bit_count(cfg)
+    payload = table.payload_bits
     acc = np.zeros(n0.shape, dtype=float)
-    for idx_i, idx_j in _pair_chunks(count, _PAIR_CHUNK):
-        diff = (phi[idx_j] - phi[idx_i]) * scale[None, None, :]
-        psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
-        eigs = _masked_eigs(psi)
-        tau = np.count_nonzero(payload[idx_i] != payload[idx_j], axis=1)
-        ratio = eigs[None, :, :] / n0[:, None, None]
-        t1 = np.prod(1.0 / (1.0 + ratio / 4.0), axis=2)
-        t2 = np.prod(1.0 / (1.0 + ratio / 3.0), axis=2)
-        acc += 2.0 * (t1 / 12.0 + t2 / 4.0) @ tau  # both orderings of each pair
-    return acc
+    for support, mult, weight in mixture:
+        phi = path_image_tensor(cfg, alphabet, support, cap)
+        scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
+        pair_sum = np.zeros(n0.shape, dtype=float)
+        for idx_i, idx_j in _pair_chunks(phi.shape[0], _PAIR_CHUNK):
+            diff = (phi[idx_j] - phi[idx_i]) * scale[None, None, :]
+            psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
+            eigs = _masked_eigs(psi)
+            tau = np.count_nonzero(payload[idx_i] != payload[idx_j], axis=1)
+            ratio = eigs[None, :, :] / n0[:, None, None]
+            t1 = np.prod(1.0 / (1.0 + ratio / 4.0), axis=2)
+            t2 = np.prod(1.0 / (1.0 + ratio / 3.0), axis=2)
+            pair_sum += 2.0 * (t1 / 12.0 + t2 / 4.0) @ tau  # both orderings of each pair
+        acc += weight * pair_sum
+    bound = acc / (b_total * 2.0**b_total)
+    return np.clip(bound, 0.0, 1.0)
 
 
 def abep_curve(
@@ -129,33 +137,12 @@ def abep_curve(
     supplied path placements; per-path gain variance is 1/P."""
     if not geometries:
         raise ValueError("at least one path placement is required")
-    n0 = np.asarray(n0_values, dtype=float)
-    if np.any(n0 <= 0):
-        raise ValueError("noise variances must be positive")
-    table = codeword_table(cfg, alphabet, cap)
-    b_total = frame_bit_count(cfg)
     p_paths = len(geometries[0])
-    acc = np.zeros(n0.shape, dtype=float)
-    col_var = np.full(p_paths, 1.0 / p_paths)
-    for geometry in geometries:
-        if len(geometry) != p_paths:
-            raise ValueError("all placements must use the same number of paths")
-        phi = path_image_tensor(cfg, alphabet, geometry, cap)
-        acc += _bound_accumulator(phi, table.payload_bits, col_var, n0)
-    bound = acc / (b_total * 2.0**b_total * len(geometries))
-    return np.clip(bound, 0.0, 1.0)
-
-
-def abep_upper_bound(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    geometries: Sequence[Geometry],
-    n0: float,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> AbepResult:
-    """Union-bound ABEP at one noise level."""
-    bound = float(abep_curve(cfg, alphabet, geometries, [n0], cap)[0])
-    return AbepResult(bound=bound, n0=n0, geometries=tuple(tuple(g) for g in geometries))
+    if any(len(geometry) != p_paths for geometry in geometries):
+        raise ValueError("all placements must use the same number of paths")
+    weight = 1.0 / len(geometries)
+    mixture = [(geometry, (1,) * p_paths, weight) for geometry in geometries]
+    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values, cap)
 
 
 # --- bound matched to the sampled channel law ------------------------------
@@ -220,18 +207,8 @@ def abep_curve_jakes(
     multiplicity over P, exactly as their independent gains add in the
     simulated channel. This is the curve comparable to Monte-Carlo BER.
     """
-    n0 = np.asarray(n0_values, dtype=float)
-    if np.any(n0 <= 0):
-        raise ValueError("noise variances must be positive")
-    table = codeword_table(cfg, alphabet, cap)
-    b_total = frame_bit_count(cfg)
-    acc = np.zeros(n0.shape, dtype=float)
-    for support, mult, weight in jakes_geometry_mixture(cfg, p_paths):
-        phi = path_image_tensor(cfg, alphabet, support, cap)
-        col_var = np.asarray(mult, dtype=float) / p_paths
-        acc += weight * _bound_accumulator(phi, table.payload_bits, col_var, n0)
-    bound = acc / (b_total * 2.0**b_total)
-    return np.clip(bound, 0.0, 1.0)
+    mixture = jakes_geometry_mixture(cfg, p_paths)
+    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values, cap)
 
 
 def diversity_order(

@@ -62,19 +62,69 @@ def channel_from_text(text: str) -> ChannelRealization:
     return ChannelRealization(np.array(gains), np.array(delays), np.array(dopplers))
 
 
+def draw_paths(
+    cfg: SystemConfig, p_paths: int, rng: np.random.Generator, frames: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gains, delays and Dopplers of shape frames + (p_paths,): CN(0, 1/P) gains,
+    Jakes-spectrum integer Dopplers, delays uniform on {0, ..., d_max}.
+
+    The draw order is fixed here: gains (real parts, then imaginary), angles,
+    delays.
+    """
+    if p_paths < 1:
+        raise ValueError("p_paths must be >= 1")
+    shape = tuple(frames) + (p_paths,)
+    scale = np.sqrt(1.0 / (2 * p_paths))
+    gains = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    theta = rng.uniform(-np.pi, np.pi, shape)
+    dopplers = np.floor(cfg.max_doppler * np.cos(theta)).astype(int)
+    delays = rng.integers(0, cfg.max_delay + 1, shape)
+    return gains, delays, dopplers
+
+
 def sample_channel(
     cfg: SystemConfig, p_paths: int, rng: np.random.Generator
 ) -> ChannelRealization:
-    """Draw one realization: CN(0, 1/P) gains, Jakes-spectrum integer Dopplers,
-    delays uniform on {0, ..., d_max}. Draw order is fixed: gains, angles, delays."""
-    if p_paths < 1:
-        raise ValueError("p_paths must be >= 1")
-    scale = np.sqrt(1.0 / (2 * p_paths))
-    gains = scale * (rng.standard_normal(p_paths) + 1j * rng.standard_normal(p_paths))
-    theta = rng.uniform(-np.pi, np.pi, p_paths)
-    dopplers = np.floor(cfg.max_doppler * np.cos(theta)).astype(int)
-    delays = rng.integers(0, cfg.max_delay + 1, p_paths)
+    """Draw one realization (see `draw_paths`)."""
+    gains, delays, dopplers = draw_paths(cfg, p_paths, rng)
     return ChannelRealization(gains=gains, delays=delays, dopplers=dopplers)
+
+
+def apply_channel_batch(
+    prefixed: np.ndarray,
+    gains: np.ndarray,
+    delays: np.ndarray,
+    dopplers: np.ndarray,
+    cfg: SystemConfig,
+    rng: np.random.Generator | None,
+    noise_variance: float,
+) -> np.ndarray:
+    """Sample-level channel on prefixed frames (F, N+L), each with its own paths (F, P):
+    r[n] = sum_p h_p s[n-d_p] e^{-j2pi (a_p/N) n} + w[n].
+
+    The Doppler phase is referenced to the first post-prefix sample (n = 0), and
+    samples before the frame start are zero; the prefix absorbs the delay tail.
+    """
+    frames, total = prefixed.shape
+    n = cfg.n_subcarriers
+    time_rel = np.arange(total) - cfg.cpp_length
+    rows = np.arange(frames)[:, None]
+    received = np.zeros_like(prefixed)
+    for p in range(gains.shape[1]):
+        idx = np.arange(total)[None, :] - delays[:, p][:, None]
+        valid = idx >= 0
+        shifted = prefixed[rows, np.where(valid, idx, 0)]
+        shifted[~valid] = 0.0
+        phase = np.exp(-2j * np.pi * (dopplers[:, p][:, None] / n) * time_rel[None, :])
+        received += gains[:, p][:, None] * shifted * phase
+    if noise_variance > 0.0:
+        if rng is None:
+            raise ValueError("rng required when noise_variance > 0")
+        sigma = np.sqrt(noise_variance / 2.0)
+        received = received + sigma * (
+            rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
+        )
+    return received
 
 
 def apply_channel_time(
@@ -84,33 +134,17 @@ def apply_channel_time(
     rng: np.random.Generator | None,
     noise_variance: float,
 ) -> np.ndarray:
-    """Sample-level channel: r[n] = sum_p h_p s[n-d_p] e^{-j2pi (a_p/N) n} + w[n].
-
-    The Doppler phase is referenced to the first post-prefix sample (n = 0), and
-    samples before the frame start are zero; the prefix absorbs the delay tail.
-    """
+    """`apply_channel_batch` on one prefixed frame (N+L,)."""
     s_prefixed = np.asarray(s_prefixed, dtype=complex)
-    n, l_cp = cfg.n_subcarriers, cfg.cpp_length
-    total = n + l_cp
+    total = cfg.n_subcarriers + cfg.cpp_length
     if s_prefixed.shape != (total,):
         raise ValueError(f"expected a prefixed frame of length {total}")
-    if l_cp < int(np.max(ch.delays)):
+    if cfg.cpp_length < int(np.max(ch.delays)):
         raise ValueError("prefix shorter than the realization's maximum delay")
-    time_rel = np.arange(total) - l_cp
-    r = np.zeros(total, dtype=complex)
-    for h, d, a in zip(ch.gains, ch.delays, ch.dopplers):
-        shifted = np.zeros(total, dtype=complex)
-        if d == 0:
-            shifted[:] = s_prefixed
-        else:
-            shifted[d:] = s_prefixed[:-d]
-        r += h * shifted * np.exp(-2j * np.pi * (a / n) * time_rel)
-    if noise_variance > 0.0:
-        if rng is None:
-            raise ValueError("rng required when noise_variance > 0")
-        sigma = np.sqrt(noise_variance / 2.0)
-        r = r + sigma * (rng.standard_normal(total) + 1j * rng.standard_normal(total))
-    return r
+    if int(np.min(ch.delays)) < 0:
+        raise ValueError("path delays must be non-negative")
+    paths = (ch.gains[None, :], ch.delays[None, :], ch.dopplers[None, :])
+    return apply_channel_batch(s_prefixed[None, :], *paths, cfg, rng, noise_variance)[0]
 
 
 def path_offset(cfg: SystemConfig, delay: int, doppler: int) -> int:
@@ -193,17 +227,16 @@ def build_effective_matrix(
     )
 
 
-def unit_path_matrix(
-    cfg: SystemConfig,
-    alphabet_values: np.ndarray,
-    assignment: np.ndarray,
-    delay: int,
-    doppler: int,
-) -> np.ndarray:
-    """Analytic unit-gain H_p: one unit-modulus entry per row at the path offset."""
+def path_chirp_entries(
+    cfg: SystemConfig, c2: np.ndarray, delay: int, doppler: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form unit-gain chirp-domain H_p under per-subcarrier pre-chirps c2:
+    row n holds one unit-modulus entry, at column (n + path offset) mod N.
+
+    Returns the column and the entry of every row.
+    """
     n = cfg.n_subcarriers
     loc = path_offset(cfg, delay, doppler)
-    c2 = np.asarray(alphabet_values)[np.asarray(assignment)]
     row = np.arange(n)
     col = (row + loc) % n
     phase = np.exp(
@@ -216,9 +249,7 @@ def unit_path_matrix(
             - col * delay / n
         )
     )
-    h_p = np.zeros((n, n), dtype=complex)
-    h_p[row, col] = phase
-    return h_p
+    return col, phase
 
 
 def build_effective_analytic(
@@ -228,16 +259,17 @@ def build_effective_analytic(
     pcpg: PreChirpPatternGroup,
 ) -> EffectiveChannel:
     """Closed-form sparse construction of the chirp-domain channel."""
-    vals = alphabet.array
-    assign = np.asarray(pcpg.assignment)
+    n = cfg.n_subcarriers
+    c2 = pcpg.values(alphabet)
     per_path = []
-    offsets = []
     for d, alpha in zip(ch.delays, ch.dopplers):
-        per_path.append(unit_path_matrix(cfg, vals, assign, int(d), int(alpha)))
-        offsets.append(path_offset(cfg, int(d), int(alpha)))
+        col, phase = path_chirp_entries(cfg, c2, int(d), int(alpha))
+        h_p = np.zeros((n, n), dtype=complex)
+        h_p[np.arange(n), col] = phase
+        per_path.append(h_p)
     matrix = sum(h * hp for h, hp in zip(ch.gains, per_path))
     return EffectiveChannel(
-        matrix=matrix, per_path=tuple(per_path), offsets=tuple(offsets)
+        matrix=matrix, per_path=tuple(per_path), offsets=_offsets_or_none(cfg, ch)
     )
 
 

@@ -7,7 +7,6 @@ import os
 import sys
 
 from .analysis import (
-    abep_curve_jakes,
     check_full_diversity_conditions,
     diversity_order,
     spectral_efficiency,
@@ -23,11 +22,10 @@ from .optimizer import (
 )
 from .simulate import (
     PRESETS,
-    BerPoint,
     make_preset,
-    noise_variance_from_snr_db,
     run_scenario,
     scenario_from_sections,
+    theory_points,
     write_csv,
 )
 from .suites import run_suites
@@ -55,21 +53,18 @@ def _load_scenario(config_arg: str, seed_flag: int | None):
     return scenario
 
 
-def _open_out(path: str | None):
+def _write_points(points, scenario, path: str | None) -> None:
+    """CSV rows to the file at path, or to stdout when path is None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        write_csv(points, scenario.name, scenario.seed, sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        write_csv(points, scenario.name, scenario.seed, out)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.config, args.seed)
-    points = run_scenario(scenario)
-    out, close = _open_out(args.out)
-    try:
-        write_csv(points, scenario.name, scenario.seed, out)
-    finally:
-        if close:
-            out.close()
+    _write_points(run_scenario(scenario), scenario, args.out)
     return 0
 
 
@@ -156,18 +151,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"diversity order mu = {mu} (full would be {scenario.p_paths})")
         return 0
     # default: the union-bound curve matched to the sampled channel law
-    n0s = [noise_variance_from_snr_db(s) for s in scenario.snr_grid_db]
-    bounds = abep_curve_jakes(cfg, scenario.alphabet, scenario.p_paths, n0s)
-    points = [
-        BerPoint(snr_db=s, bits=0, errors=0, ber=float(b), kind="theory")
-        for s, b in zip(scenario.snr_grid_db, bounds)
-    ]
-    out, close = _open_out(args.out)
-    try:
-        write_csv(points, scenario.name, scenario.seed, out)
-    finally:
-        if close:
-            out.close()
+    _write_points(theory_points(scenario), scenario, args.out)
     return 0
 
 

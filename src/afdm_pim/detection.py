@@ -2,77 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, cpp_phase_profile, path_offset, path_time_operator
+from .channel import ChannelRealization, path_time_operator
 from .config import SystemConfig
-from .mapping import (
-    DEFAULT_ENUMERATION_CAP,
-    PreChirpAlphabet,
-    PreChirpPatternGroup,
-    codeword_table,
-)
+from .mapping import DEFAULT_ENUMERATION_CAP, PreChirpAlphabet, codeword_table
 
 Geometry = Sequence[tuple[int, int]]
-
-
-@dataclass(frozen=True, eq=False)
-class CodewordChannel:
-    """Gain-free codeword-channel matrix: column p equals H_p x."""
-
-    phi: np.ndarray  # (N, P) complex
-
-
-def phi_tensor(
-    symbols: np.ndarray,
-    assignments: np.ndarray,
-    geometry: Geometry,
-    cfg: SystemConfig,
-    alphabet_values: np.ndarray,
-) -> np.ndarray:
-    """Codeword-channel columns for a batch of codewords: (C, N, P).
-
-    Entry [c, n, p] is (H_p x_c)[n] for the unit-gain path at geometry[p].
-    """
-    symbols = np.atleast_2d(np.asarray(symbols, dtype=complex))
-    assignments = np.atleast_2d(np.asarray(assignments))
-    n = cfg.n_subcarriers
-    row = np.arange(n)
-    vals = np.asarray(alphabet_values, dtype=float)[assignments]  # (C, N)
-    quad = vals * row**2  # (C, N), c2[m] * m^2 per codeword
-    out = np.empty((symbols.shape[0], n, len(geometry)), dtype=complex)
-    for p, (d, a) in enumerate(geometry):
-        loc = path_offset(cfg, d, a)
-        col = (row + loc) % n
-        phase = np.exp(
-            2j
-            * np.pi
-            * (quad[:, col] - quad[:, row] + cfg.post_chirp * d * d - col * d / n)
-        )
-        out[:, :, p] = phase * symbols[:, col]
-    return out
-
-
-def build_phi(
-    x: np.ndarray,
-    pcpg: PreChirpPatternGroup,
-    geometry: Geometry,
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-) -> CodewordChannel:
-    """Codeword-channel matrix for one codeword; gains are not consumed."""
-    phi = phi_tensor(
-        np.asarray(x, dtype=complex)[None, :],
-        np.asarray(pcpg.assignment)[None, :],
-        geometry,
-        cfg,
-        alphabet.array,
-    )[0]
-    return CodewordChannel(phi=phi)
 
 
 def codeword_time_signals(
@@ -163,8 +102,8 @@ def path_image_tensor(
     idx = np.arange(n)
     out = np.empty(signals.shape + (len(geometry),), dtype=complex)
     for p, (d, a) in enumerate(geometry):
-        phases = cpp_phase_profile(cfg, d) * np.exp(-2j * np.pi * (a / n) * idx)
-        out[:, :, p] = phases[None, :] * signals[:, (idx - d) % n]
+        col = (idx - d) % n
+        out[:, :, p] = path_time_operator(cfg, d, a)[idx, col] * signals[:, col]
     return out
 
 

@@ -111,18 +111,6 @@ def _perm_unrank(rank: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _perm_rank(perm: Sequence[int]) -> int:
-    """Lexicographic rank of a permutation of (0, ..., n-1)."""
-    n = len(perm)
-    pool = list(range(n))
-    rank = 0
-    for i, p in enumerate(perm):
-        idx = pool.index(p)
-        rank += idx * math.factorial(n - 1 - i)
-        pool.pop(idx)
-    return rank
-
-
 def bits_to_int(bits: Sequence[int]) -> int:
     """Interpret a bit sequence as an unsigned integer, MSB first."""
     value = 0
@@ -136,6 +124,7 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
 
 
+@lru_cache(maxsize=8)
 def group_pattern_codebook(alphabet_size: int, group_size: int) -> tuple[tuple[int, ...], ...]:
     """The 2**b2 legitimate per-group patterns, in index-word order.
 
@@ -154,38 +143,26 @@ def group_pattern_codebook(alphabet_size: int, group_size: int) -> tuple[tuple[i
 def index_bits_to_group_pattern(
     bits: Sequence[int], alphabet_size: int, group_size: int
 ) -> tuple[int, ...]:
-    """Map b2 index bits to one group's pattern (a permutation of alphabet indices).
-
-    The codebook is the first 2**b2 permutations of (0, ..., n_c - 1) in
-    lexicographic order; only alphabet_size == group_size is supported.
-    """
-    lam, n_c = alphabet_size, group_size
-    if lam != n_c:
-        raise ValueError(
-            f"pattern mapping requires alphabet_size == group_size, got {lam} != {n_c}"
-        )
-    b2 = index_bits_per_group(lam, n_c)
+    """Map b2 index bits to one group's pattern (a permutation of alphabet indices)."""
+    codebook = group_pattern_codebook(alphabet_size, group_size)
+    b2 = index_bits_per_group(alphabet_size, group_size)
     if len(bits) != b2:
         raise ValueError(f"expected {b2} index bits, got {len(bits)}")
-    return _perm_unrank(bits_to_int(bits), n_c)
+    return codebook[bits_to_int(bits)]
 
 
 def group_pattern_to_index_bits(
     pattern: Sequence[int], alphabet_size: int, group_size: int
 ) -> np.ndarray:
     """Inverse of index_bits_to_group_pattern; rejects illegitimate patterns."""
-    lam, n_c = alphabet_size, group_size
-    if lam != n_c:
-        raise ValueError(
-            f"pattern mapping requires alphabet_size == group_size, got {lam} != {n_c}"
-        )
-    if sorted(pattern) != list(range(n_c)):
-        raise ValueError(f"group pattern {tuple(pattern)} is not a permutation")
-    rank = _perm_rank(pattern)
-    b2 = index_bits_per_group(lam, n_c)
-    if rank >= 2**b2:
-        raise ValueError(f"group pattern {tuple(pattern)} is outside the codebook")
-    return int_to_bits(rank, b2)
+    codebook = group_pattern_codebook(alphabet_size, group_size)
+    pattern = tuple(pattern)
+    if sorted(pattern) != list(range(group_size)):
+        raise ValueError(f"group pattern {pattern} is not a permutation")
+    if pattern not in codebook:
+        raise ValueError(f"group pattern {pattern} is outside the codebook")
+    b2 = index_bits_per_group(alphabet_size, group_size)
+    return int_to_bits(codebook.index(pattern), b2)
 
 
 def bits_to_frame(
@@ -299,7 +276,7 @@ def _codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> 
         idx_bits = per_group[:, :, b1:]
         w2 = (1 << np.arange(b2 - 1, -1, -1)).astype(np.int64)
         words = np.tensordot(idx_bits, w2, axes=([2], [0]))
-        perms = np.array([_perm_unrank(r, n_c) for r in range(2**b2)], dtype=np.int8)
+        perms = np.array(group_pattern_codebook(cfg.alphabet_size, n_c), dtype=np.int8)
         assignments = perms[words].reshape(count, cfg.n_subcarriers)
 
     for arr in (payload, symbols, assignments):

@@ -8,9 +8,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .channel import enumerate_placements, path_offset
+from .channel import enumerate_placements, path_chirp_entries, path_offset
 from .config import SystemConfig, constellation_for
-from .detection import phi_tensor
 from .mapping import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
@@ -231,8 +230,14 @@ def _all_symbol_vectors(cfg: SystemConfig) -> np.ndarray:
 def _pattern_phi(
     values: np.ndarray, pattern: np.ndarray, symbols: np.ndarray, geometry, cfg
 ) -> np.ndarray:
-    assign = np.broadcast_to(pattern, symbols.shape)
-    return phi_tensor(symbols, assign, geometry, cfg, values)
+    """Codeword-channel columns (C, N, P) of symbol vectors under one pattern:
+    entry [c, n, p] is (H_p x_c)[n] for the unit-gain path at geometry[p]."""
+    c2 = values[pattern]
+    out = np.empty(symbols.shape + (len(geometry),), dtype=complex)
+    for p, (d, a) in enumerate(geometry):
+        col, phase = path_chirp_entries(cfg, c2, d, a)
+        out[:, :, p] = phase * symbols[:, col]
+    return out
 
 
 def brute_objective(

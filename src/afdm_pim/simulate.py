@@ -9,7 +9,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .analysis import abep_curve_jakes
-from .channel import ChannelRealization
+from .channel import ChannelRealization, apply_channel_batch, draw_paths
 from .config import RandomSource, SystemConfig, system_config_from_items
 from .detection import MLDetector, count_bit_errors
 from .mapping import (
@@ -18,6 +18,7 @@ from .mapping import (
     frame_bit_count,
     load_alphabet,
 )
+from .transceiver import add_cpp
 
 CSV_HEADER = "scheme,snr_db,kind,bits,errors,ber,seed"
 
@@ -52,6 +53,9 @@ class Scenario:
         object.__setattr__(self, "snr_grid_db", grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
+        for name in ("min_bits", "min_errors"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.min_errors < 100 and self.min_bits < 100_000:
             raise ValueError(
                 "stopping rule too weak: need min_errors >= 100 or min_bits >= 1e5"
@@ -85,38 +89,6 @@ def noise_variance_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _prefixed(frames: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    n, l_cp = cfg.n_subcarriers, cfg.cpp_length
-    if l_cp == 0:
-        return frames
-    neg = np.arange(-l_cp, 0)
-    phase = np.exp(-2j * np.pi * cfg.post_chirp * (n**2 + 2 * n * neg))
-    return np.concatenate([frames[:, n + neg] * phase[None, :], frames], axis=1)
-
-
-def _apply_channel_batch(
-    prefixed: np.ndarray,
-    gains: np.ndarray,
-    delays: np.ndarray,
-    dopplers: np.ndarray,
-    cfg: SystemConfig,
-) -> np.ndarray:
-    """Per-frame sample-level channel for a chunk of frames (noise excluded)."""
-    frames, total = prefixed.shape
-    n = cfg.n_subcarriers
-    time_rel = np.arange(total) - cfg.cpp_length
-    rows = np.arange(frames)[:, None]
-    received = np.zeros_like(prefixed)
-    for p in range(gains.shape[1]):
-        idx = np.arange(total)[None, :] - delays[:, p][:, None]
-        valid = idx >= 0
-        shifted = prefixed[rows, np.where(valid, idx, 0)]
-        shifted[~valid] = 0.0
-        phase = np.exp(-2j * np.pi * (dopplers[:, p][:, None] / n) * time_rel[None, :])
-        received += gains[:, p][:, None] * shifted * phase
-    return received
-
-
 def run_ber_sweep(
     scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[BerPoint]:
@@ -132,7 +104,6 @@ def run_ber_sweep(
     b_total = frame_bit_count(cfg)
     weights = (1 << np.arange(b_total - 1, -1, -1)).astype(np.int64)
     source = RandomSource(scenario.seed)
-    gain_scale = math.sqrt(1.0 / (2 * scenario.p_paths))
     points: list[BerPoint] = []
     bits = 0
     try:
@@ -143,26 +114,14 @@ def run_ber_sweep(
                 rng = source.generator(point_idx, chunk_idx)
                 chunk_idx += 1
                 payload = rng.integers(0, 2, size=(_CHUNK_FRAMES, b_total)).astype(np.int8)
-                # channel draws in fixed order: gains, angles, delays
-                gains = gain_scale * (
-                    rng.standard_normal((_CHUNK_FRAMES, scenario.p_paths))
-                    + 1j * rng.standard_normal((_CHUNK_FRAMES, scenario.p_paths))
+                gains, delays, dopplers = draw_paths(
+                    cfg, scenario.p_paths, rng, (_CHUNK_FRAMES,)
                 )
-                theta = rng.uniform(-np.pi, np.pi, (_CHUNK_FRAMES, scenario.p_paths))
-                dopplers = np.floor(cfg.max_doppler * np.cos(theta)).astype(int)
-                delays = rng.integers(0, cfg.max_delay + 1, (_CHUNK_FRAMES, scenario.p_paths))
-
                 codeword_idx = payload.astype(np.int64) @ weights
-                tx = detector.candidates[codeword_idx]
-                received = _apply_channel_batch(
-                    _prefixed(tx, cfg), gains, delays, dopplers, cfg
+                prefixed = add_cpp(detector.candidates[codeword_idx], cfg)
+                received = apply_channel_batch(
+                    prefixed, gains, delays, dopplers, cfg, rng, n0
                 )
-                if n0 > 0.0:
-                    sigma = math.sqrt(n0 / 2.0)
-                    received = received + sigma * (
-                        rng.standard_normal(received.shape)
-                        + 1j * rng.standard_normal(received.shape)
-                    )
                 body = received[:, cfg.cpp_length :]
 
                 for f in range(_CHUNK_FRAMES):

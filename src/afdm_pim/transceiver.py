@@ -65,17 +65,20 @@ def demodulate(
 
 
 def add_cpp(s: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Prepend the chirp-periodic prefix: s[n] = s[N+n] e^{-j2pi c1 (N^2+2Nn)}, n<0."""
+    """Prepend the chirp-periodic prefix: s[n] = s[N+n] e^{-j2pi c1 (N^2+2Nn)}, n<0.
+
+    Takes one frame (N,) or a batch of frames (F, N).
+    """
     s = np.asarray(s, dtype=complex)
     n = cfg.n_subcarriers
-    if s.shape != (n,):
-        raise ValueError(f"expected a prefix-free frame of length {n}")
+    if s.ndim not in (1, 2) or s.shape[-1] != n:
+        raise ValueError(f"expected prefix-free frames of length {n}")
     l_cp = cfg.cpp_length
     if l_cp == 0:
         return s.copy()
     neg = np.arange(-l_cp, 0)
-    prefix = s[n + neg] * np.exp(-2j * np.pi * cfg.post_chirp * (n**2 + 2 * n * neg))
-    return np.concatenate([prefix, s])
+    prefix = s[..., n + neg] * np.exp(-2j * np.pi * cfg.post_chirp * (n**2 + 2 * n * neg))
+    return np.concatenate([prefix, s], axis=-1)
 
 
 def remove_cpp(r: np.ndarray, cfg: SystemConfig) -> np.ndarray:

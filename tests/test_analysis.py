@@ -6,7 +6,6 @@ import pytest
 from afdm_pim.analysis import (
     abep_curve,
     abep_curve_jakes,
-    abep_upper_bound,
     check_full_diversity_conditions,
     diversity_order,
     jakes_cell_pmf,
@@ -96,8 +95,6 @@ def test_abep_monotone_and_clipped():
     assert np.all(np.diff(curve) <= 1e-15)
     assert curve[0] == 1.0  # union bound blows past one at low SNR, clipped
     assert np.all((curve >= 0) & (curve <= 1))
-    one = abep_upper_bound(BPSK42, AL2, geoms, 1e-2)
-    assert 0 <= one.bound <= 1
 
 
 def test_abep_high_snr_slope_matches_diversity():

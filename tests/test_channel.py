@@ -9,6 +9,7 @@ from afdm_pim.channel import (
     channel_from_text,
     channel_to_text,
     delay_doppler_cells,
+    draw_paths,
     enumerate_placements,
     path_offset,
     sample_channel,
@@ -42,6 +43,14 @@ def test_sample_channel_statistics():
     assert freq.get(0, 0) == pytest.approx(0.5, abs=0.02)
     assert freq.get(1, 0) < 1e-4
     assert ch.delays.min() >= 0 and ch.delays.max() <= 1
+
+
+def test_sample_channel_is_row_zero_of_the_batched_draw():
+    ch = sample_channel(CFG, 5, RandomSource(4).generator())
+    gains, delays, dopplers = draw_paths(CFG, 5, RandomSource(4).generator(), (1,))
+    assert np.array_equal(ch.gains, gains[0])
+    assert np.array_equal(ch.delays, delays[0])
+    assert np.array_equal(ch.dopplers, dopplers[0])
 
 
 def test_sample_channel_zero_doppler():
@@ -160,6 +169,12 @@ def test_awgn_variance():
         [apply_channel_time(s, ident, cfg, rng, 0.5) for _ in range(4000)]
     )
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(0.5, rel=0.05)
+
+
+def test_negative_delay_is_rejected():
+    ch = channel_from_text("1 0 -1 0\n")
+    with pytest.raises(ValueError, match="non-negative"):
+        apply_channel_time(np.zeros(10, dtype=complex), ch, CFG, None, 0.0)
 
 
 def test_noise_requires_rng():

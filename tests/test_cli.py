@@ -98,6 +98,22 @@ def test_analyze_bound(config_path, tmp_path):
     assert all(",theory," in row for row in lines[1:])
 
 
+def test_analyze_writes_the_theory_rows_of_simulate(tmp_path):
+    path = tmp_path / "inf.cfg"
+    path.write_text(
+        CONFIG_TEXT.replace("snr_db = 0 10", "snr_db = 10 inf").replace(
+            "include_theory = false", "include_theory = true"
+        )
+    )
+    sim, ana = tmp_path / "sim.csv", tmp_path / "ana.csv"
+    assert main(["simulate", str(path), "--out", str(sim)]) == 0
+    assert main(["analyze", str(path), "--out", str(ana)]) == 0
+    header, *rows = sim.read_text().splitlines()
+    theory = [row for row in rows if ",theory," in row]
+    assert len(theory) == 1  # the inf point has no finite bound
+    assert ana.read_text().splitlines() == [header] + theory
+
+
 def test_optimize_emits_alphabet_and_log(config_path, tmp_path, capsys):
     out = tmp_path / "alpha.txt"
     log = tmp_path / "conv.csv"

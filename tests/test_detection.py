@@ -7,13 +7,14 @@ from afdm_pim.channel import (
     ChannelRealization,
     apply_channel_time,
     build_effective_analytic,
+    build_effective_matrix,
     sample_channel,
     time_domain_operator,
 )
+from afdm_pim import optimizer
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import (
     MLDetector,
-    build_phi,
     codeword_time_signals,
     count_bit_errors,
     factor_time_signals,
@@ -91,10 +92,17 @@ def exhaustive_search(r, ch, cfg, alphabet, cap=DEFAULT_ENUMERATION_CAP):
     return codeword_table(cfg, alphabet, cap).payload_bits[best], float(metrics[best])
 
 
-def test_build_phi_identity_geometry_returns_x():
+def _phi(frame, geometry, cfg, alphabet):
+    """Codeword-channel columns H_p x of one frame, gathered as the brute oracles do."""
+    return optimizer._pattern_phi(
+        alphabet.array, np.asarray(frame.pcpg.assignment), frame.symbols[None, :], geometry, cfg
+    )[0]
+
+
+def test_pattern_phi_identity_geometry_returns_x():
     rng = RandomSource(1).generator()
     frame = bits_to_frame(rng.integers(0, 2, frame_bit_count(CFG8)), CFG8, AL4)
-    phi = build_phi(frame.symbols, frame.pcpg, [(0, 0)], CFG8, AL4).phi
+    phi = _phi(frame, [(0, 0)], CFG8, AL4)
     assert phi.shape == (8, 1)
     assert np.allclose(phi[:, 0], frame.symbols)
 
@@ -105,21 +113,22 @@ def test_phi_times_gains_equals_effective_channel():
     for _ in range(100):
         frame = bits_to_frame(rng.integers(0, 2, frame_bit_count(CFG8)), CFG8, AL4)
         ch = sample_channel(CFG8, 3, rng)
-        phi = build_phi(frame.symbols, frame.pcpg, ch.geometry, CFG8, AL4).phi
-        h_eff = build_effective_analytic(ch, CFG8, AL4, frame.pcpg).matrix
+        phi = _phi(frame, ch.geometry, CFG8, AL4)
+        h_eff = build_effective_matrix(ch, CFG8, AL4, frame.pcpg).matrix
         worst = max(worst, float(np.max(np.abs(phi @ ch.gains - h_eff @ frame.symbols))))
     assert worst < 1e-9
 
 
 def test_phi_differs_across_patterns():
-    table = codeword_table(BPSK42, AL2)
-    geometry = [(0, -1), (0, 0), (0, 1)]
-    x = table.symbols[0]
     frames = list(enumerate_codewords(BPSK42, AL2))
-    a = build_phi(x, frames[0].pcpg, geometry, BPSK42, AL2).phi
-    b = build_phi(x, frames[1].pcpg, geometry, BPSK42, AL2).phi
+    ch = ChannelRealization(np.ones(3, dtype=complex), np.zeros(3, dtype=int), np.array([-1, 0, 1]))
+    a = build_effective_analytic(ch, BPSK42, AL2, frames[0].pcpg).per_path
+    b = build_effective_analytic(ch, BPSK42, AL2, frames[1].pcpg).per_path
     assert frames[0].pcpg.assignment != frames[1].pcpg.assignment
-    assert np.linalg.norm(a - b) > 1e-6
+    # the zero-delay, zero-Doppler path is the identity under every pattern
+    assert np.array_equal(a[1], b[1])
+    for p in (0, 2):
+        assert np.linalg.norm(a[p] - b[p]) > 1e-6
 
 
 def test_path_image_tensor_matches_operators():

@@ -65,6 +65,11 @@ def test_pattern_examples():
 def test_pattern_mapping_rejections():
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
         index_bits_to_group_pattern([0, 0], 4, 2)
+    with pytest.raises(ValueError, match="alphabet_size == group_size"):
+        codeword_table(
+            SystemConfig(n_subcarriers=4, n_groups=1, alphabet_size=2),
+            PreChirpAlphabet((0.2, 0.6)),
+        )
     with pytest.raises(ValueError, match="not a permutation"):
         group_pattern_to_index_bits((1, 1, 0, 2), 4, 4)
     # a valid permutation outside the first 2**b2 codewords

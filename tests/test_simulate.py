@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ def test_scenario_validation():
             name="bad", cfg=BPSK42, alphabet=PreChirpAlphabet((0.1, 0.5, 0.9)),
             p_paths=2, snr_grid_db=(0.0,),
         )
+
+
+def test_scenario_rejects_a_stopping_rule_that_runs_no_frame():
+    with pytest.raises(ValueError, match="min_errors"):
+        replace(make_preset("fig8_lo"), min_errors=0, min_bits=100_000, snr_grid_db=(10.0,))
+    with pytest.raises(ValueError, match="min_bits"):
+        replace(make_preset("fig8_lo"), min_errors=100, min_bits=0)
 
 
 def test_noise_variance():
@@ -172,25 +180,22 @@ def test_classic_collapse_single_value_alphabet_roundtrips():
     assert pt.errors == 0
 
 
-def test_batch_channel_matches_single_frame_route():
-    from afdm_pim.channel import apply_channel_time
+def test_batch_channel_matches_time_domain_operator():
+    from afdm_pim.channel import ChannelRealization, apply_channel_batch, time_domain_operator
     from afdm_pim.config import RandomSource, SystemConfig as SC
-    from afdm_pim.simulate import _apply_channel_batch, _prefixed
+    from afdm_pim.transceiver import add_cpp
 
     cfg = SC(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=2, max_doppler=2, cpp_length=2)
     rng = RandomSource(19).generator()
     frames = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-    prefixed = _prefixed(frames, cfg)
     gains = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     delays = rng.integers(0, 3, (6, 3))
     dopplers = rng.integers(-2, 3, (6, 3))
-    batch = _apply_channel_batch(prefixed, gains, delays, dopplers, cfg)
-    from afdm_pim.channel import ChannelRealization
-
+    batch = apply_channel_batch(add_cpp(frames, cfg), gains, delays, dopplers, cfg, None, 0.0)
     for f in range(6):
         ch = ChannelRealization(gains[f], delays[f], dopplers[f])
-        single = apply_channel_time(prefixed[f], ch, cfg, None, 0.0)
-        assert np.max(np.abs(batch[f] - single)) < 1e-12
+        expected = time_domain_operator(ch, cfg) @ frames[f]
+        assert np.max(np.abs(batch[f, cfg.cpp_length :] - expected)) < 1e-12
 
 
 def test_noiseless_sweep_qam():

@@ -142,6 +142,16 @@ def test_cpp_roundtrip_and_phase():
     assert abs(with_cpp[0]) == pytest.approx(abs(s[7]))
 
 
+def test_cpp_batch_matches_single_frames():
+    cfg = _cfg(n=8, d_max=2)
+    rng = RandomSource(4).generator()
+    frames = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    batch = add_cpp(frames, cfg)
+    assert batch.shape == (3, 10)
+    for f in range(3):
+        assert np.array_equal(batch[f], add_cpp(frames[f], cfg))
+
+
 def test_cpp_zero_length_identity():
     cfg = _cfg(n=8, d_max=0)
     s = np.arange(8, dtype=complex)
