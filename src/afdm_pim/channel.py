@@ -143,6 +143,11 @@ def apply_channel_time(
         raise ValueError("prefix shorter than the realization's maximum delay")
     if int(np.min(ch.delays)) < 0:
         raise ValueError("path delays must be non-negative")
+    if int(np.max(np.abs(ch.dopplers))) > cfg.max_doppler:
+        # the delay-Doppler grid ends at max_doppler; beyond it a Doppler aliases modulo N
+        raise ValueError(
+            f"path Dopplers must lie in [-{cfg.max_doppler}, {cfg.max_doppler}]"
+        )
     paths = (ch.gains[None, :], ch.delays[None, :], ch.dopplers[None, :])
     return apply_channel_batch(s_prefixed[None, :], *paths, cfg, rng, noise_variance)[0]
 

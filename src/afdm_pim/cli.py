@@ -22,6 +22,7 @@ from .optimizer import (
 )
 from .simulate import (
     PRESETS,
+    SweepInterrupted,
     make_preset,
     run_scenario,
     scenario_from_sections,
@@ -64,7 +65,17 @@ def _write_points(points, scenario, path: str | None) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.config, args.seed)
-    _write_points(run_scenario(scenario), scenario, args.out)
+    try:
+        points = run_scenario(scenario)
+    except SweepInterrupted as stop:
+        _write_points(stop.points, scenario, args.out)
+        print(
+            f"interrupted: wrote {len(stop.points)} of {len(scenario.snr_grid_db)} "
+            "simulation points (the last may be partial) and no theory rows",
+            file=sys.stderr,
+        )
+        return 130
+    _write_points(points, scenario, args.out)
     return 0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import ChannelRealization, path_time_operator
 from .config import SystemConfig
-from .mapping import DEFAULT_ENUMERATION_CAP, PreChirpAlphabet, codeword_table
+from .mapping import DEFAULT_ENUMERATION_CAP, PreChirpAlphabet, codeword_table, row_blocks
 
 Geometry = Sequence[tuple[int, int]]
 
@@ -75,13 +75,19 @@ def _factor_time_signals(
 def _time_frames(
     cfg: SystemConfig, alphabet: PreChirpAlphabet, symbols: np.ndarray, assignments: np.ndarray
 ) -> np.ndarray:
-    """Prefix-free time-domain frames of subcarrier vectors under their patterns."""
+    """Prefix-free time-domain frames of subcarrier vectors under their patterns,
+    computed in row blocks (see `row_blocks`)."""
     n = cfg.n_subcarriers
     m = np.arange(n)
-    c2 = alphabet.array[assignments]  # (C, N)
-    pre = symbols * np.exp(2j * np.pi * c2 * m**2)
     idft = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-    return (pre @ idft) * np.exp(2j * np.pi * cfg.post_chirp * m**2)
+    post = np.exp(2j * np.pi * cfg.post_chirp * m**2)
+    frames = np.empty(symbols.shape, dtype=complex)
+    for rows in row_blocks(len(symbols)):
+        c2 = alphabet.array[assignments[rows]]
+        pre = symbols[rows] * np.exp(2j * np.pi * c2 * m**2)
+        np.matmul(pre, idft, out=frames[rows])
+        frames[rows] *= post
+    return frames
 
 
 def path_image_tensor(
@@ -105,6 +111,13 @@ def path_image_tensor(
         col = (idx - d) % n
         out[:, :, p] = path_time_operator(cfg, d, a)[idx, col] * signals[:, col]
     return out
+
+
+@lru_cache(maxsize=8)
+def _path_operators(cfg: SystemConfig) -> dict[tuple[int, int], np.ndarray]:
+    """Unit-gain path operators by (delay, Doppler) cell, filled as detectors
+    meet the cells and shared by every detector for one configuration."""
+    return {}
 
 
 class MLDetector:
@@ -137,7 +150,7 @@ class MLDetector:
         head = (np.arange(len(self.parts)) < self.n_head)[:, None]
         self._norm_weight = np.where(head, [0.5, 0.0], [0.0, 0.5])
         self._unit = np.where(head, [0.0, 1.0], [1.0, 0.0])
-        self._cells: dict[tuple[int, int], np.ndarray] = {}
+        self._cells = _path_operators(cfg)
 
     def candidate_images(self, ch: ChannelRealization) -> np.ndarray:
         """Noise-free images (C_h + C_t, N) of the head and tail parts under the channel."""
@@ -147,6 +160,7 @@ class MLDetector:
             cell = self._cells.get((d, a))
             if cell is None:
                 cell = self._cells[(d, a)] = path_time_operator(self.cfg, d, a)
+                cell.flags.writeable = False  # shared by every detector for this config
             op += h * cell
         return self.parts @ op.T
 

@@ -12,6 +12,9 @@ import numpy as np
 from .config import SystemConfig, constellation_for
 
 DEFAULT_ENUMERATION_CAP = 2**20
+# rows per block when the codebook tables are built; a power of two, so every
+# 2^B codebook splits into equal blocks and no block is a single row
+BUILD_BLOCK_ROWS = 4096
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -228,6 +231,13 @@ def enumerate_codewords(
         yield bits_to_frame(int_to_bits(value, b_total), cfg, alphabet)
 
 
+def row_blocks(count: int) -> Iterator[slice]:
+    """Consecutive slices of BUILD_BLOCK_ROWS rows (the last may be shorter)
+    covering rows 0 to count - 1."""
+    step = BUILD_BLOCK_ROWS
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 @dataclass(frozen=True, eq=False)
 class CodewordTable:
     """Dense arrays over the full codebook, in payload order."""
@@ -255,29 +265,31 @@ def _codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> 
         raise EnumerationCapExceeded(
             f"2^{b_total} codewords exceed the enumeration cap {cap}"
         )
-    values = np.arange(count, dtype=np.int64)
-    shifts = np.arange(b_total - 1, -1, -1, dtype=np.int64)
-    payload = ((values[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-
     const = constellation_for(cfg)
-    n_c, k = cfg.group_size, cfg.bits_per_symbol
+    n, n_c, k = cfg.n_subcarriers, cfg.group_size, cfg.bits_per_symbol
     b1 = n_c * k
     b2 = index_bits_per_group(cfg.alphabet_size, n_c)
-    per_group = payload.reshape(count, cfg.n_groups, b1 + b2)
-
-    sym_bits = per_group[:, :, :b1].reshape(count, cfg.n_groups, n_c, k)
+    shifts = np.arange(b_total - 1, -1, -1, dtype=np.int64)
     weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    labels = np.tensordot(sym_bits, weights, axes=([3], [0]))
-    symbols = const.points[labels].reshape(count, cfg.n_subcarriers)
-
-    if cfg.alphabet_size == 1:
-        assignments = np.zeros((count, cfg.n_subcarriers), dtype=np.int8)
+    w2 = (1 << np.arange(b2 - 1, -1, -1)).astype(np.int64)
+    if cfg.alphabet_size == 1:  # b2 = 0: every group's index word is 0, the all-zero pattern
+        perms = np.zeros((1, n_c), dtype=np.int8)
     else:
-        idx_bits = per_group[:, :, b1:]
-        w2 = (1 << np.arange(b2 - 1, -1, -1)).astype(np.int64)
-        words = np.tensordot(idx_bits, w2, axes=([2], [0]))
         perms = np.array(group_pattern_codebook(cfg.alphabet_size, n_c), dtype=np.int8)
-        assignments = perms[words].reshape(count, cfg.n_subcarriers)
+
+    # filled block by block, so the full-size outputs are the only large arrays
+    payload = np.empty((count, b_total), dtype=np.int8)
+    symbols = np.empty((count, n), dtype=complex)
+    assignments = np.empty((count, n), dtype=np.int8)
+    for rows in row_blocks(count):
+        values = np.arange(rows.start, rows.stop, dtype=np.int64)
+        payload[rows] = (values[:, None] >> shifts[None, :]) & 1
+        per_group = payload[rows].reshape(len(values), cfg.n_groups, b1 + b2)
+        sym_bits = per_group[:, :, :b1].reshape(len(values), cfg.n_groups, n_c, k)
+        labels = np.tensordot(sym_bits, weights, axes=([3], [0]))
+        symbols[rows] = const.points[labels].reshape(len(values), n)
+        words = np.tensordot(per_group[:, :, b1:], w2, axes=([2], [0]))
+        assignments[rows] = perms[words].reshape(len(values), n)
 
     for arr in (payload, symbols, assignments):
         arr.flags.writeable = False  # shared by every caller of the cache

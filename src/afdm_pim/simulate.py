@@ -89,6 +89,15 @@ def noise_variance_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+class SweepInterrupted(KeyboardInterrupt):
+    """An interrupt ended `run_scenario` early; `points` holds the simulation
+    points accumulated until then, and no theory point."""
+
+    def __init__(self, points: list[BerPoint]) -> None:
+        super().__init__(f"interrupted after {len(points)} simulation points")
+        self.points = points
+
+
 def run_ber_sweep(
     scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[BerPoint]:
@@ -99,6 +108,11 @@ def run_ber_sweep(
     output is a pure function of the scenario. An interrupt returns the
     points finished so far plus the partially accumulated one.
     """
+    return _sweep(scenario, cap)[0]
+
+
+def _sweep(scenario: Scenario, cap: int) -> tuple[list[BerPoint], bool]:
+    """The points of `run_ber_sweep`, and whether an interrupt ended the sweep."""
     cfg, alphabet = scenario.cfg, scenario.alphabet
     detector = MLDetector(cfg, alphabet, cap)
     b_total = frame_bit_count(cfg)
@@ -138,7 +152,8 @@ def run_ber_sweep(
         # the point in progress, unless the interrupt came after its append
         if bits > 0 and len(points) == point_idx:
             points.append(_simulation_point(snr_db, bits, errors))
-    return points
+        return points, True
+    return points, False
 
 
 def _simulation_point(snr_db: float, bits: int, errors: int) -> BerPoint:
@@ -181,10 +196,19 @@ def write_csv(
 def run_scenario(
     scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[BerPoint]:
-    """Simulation points plus, when enabled, the matching theory rows."""
-    points = run_ber_sweep(scenario, cap)
+    """Simulation points plus, when enabled, the matching theory rows.
+
+    An interrupt, in the sweep or in the theory rows, raises `SweepInterrupted`
+    carrying the simulation points so far and no theory point.
+    """
+    points, interrupted = _sweep(scenario, cap)
+    if interrupted:
+        raise SweepInterrupted(points)
     if scenario.include_theory:
-        points += theory_points(scenario, cap)
+        try:
+            points += theory_points(scenario, cap)
+        except KeyboardInterrupt:
+            raise SweepInterrupted(points) from None
     return points
 
 

@@ -177,6 +177,17 @@ def test_negative_delay_is_rejected():
         apply_channel_time(np.zeros(10, dtype=complex), ch, CFG, None, 0.0)
 
 
+@pytest.mark.parametrize("doppler", [7, -2])
+def test_doppler_outside_the_bound_is_rejected(doppler):
+    # on N = 4 a Doppler of 7 would alias onto -1, which is inside the bound
+    cfg = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
+    ch = channel_from_text(f"1 0 0 {doppler}\n")
+    with pytest.raises(ValueError, match="Dopplers"):
+        apply_channel_time(np.zeros(4, dtype=complex), ch, cfg, None, 0.0)
+    edge = channel_from_text("1 0 0 1\n0 1 0 -1\n")
+    assert apply_channel_time(np.ones(4, dtype=complex), edge, cfg, None, 0.0).shape == (4,)
+
+
 def test_noise_requires_rng():
     ident = ChannelRealization(np.array([1.0 + 0j]), np.array([0]), np.array([0]))
     with pytest.raises(ValueError, match="rng required"):

@@ -1,7 +1,10 @@
+import io
+
 import pytest
 
-from afdm_pim import cli
+from afdm_pim import cli, simulate
 from afdm_pim.cli import main
+from afdm_pim.detection import MLDetector
 from afdm_pim.config import RandomSource
 from afdm_pim.mapping import load_alphabet
 from afdm_pim.optimizer import pso_optimize
@@ -112,6 +115,59 @@ def test_analyze_writes_the_theory_rows_of_simulate(tmp_path):
     theory = [row for row in rows if ",theory," in row]
     assert len(theory) == 1  # the inf point has no finite bound
     assert ana.read_text().splitlines() == [header] + theory
+
+
+def test_interrupted_simulate_keeps_partial_rows_and_exits_130(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv("SIM_SEED", raising=False)
+    path = tmp_path / "theory.cfg"
+    path.write_text(CONFIG_TEXT.replace("include_theory = false", "include_theory = true"))
+    full = simulate.run_ber_sweep(cli._load_scenario(str(path), None))
+    first_point_frames = full[0].bits // 6  # 6 bits per frame
+    calls = {"detect": 0, "theory": 0}
+    original = MLDetector.detect
+
+    def interrupt_second_point(self, r, ch):
+        calls["detect"] += 1
+        if calls["detect"] > first_point_frames + 10:
+            raise KeyboardInterrupt
+        return original(self, r, ch)
+
+    def counted_theory(*args, **kwargs):
+        calls["theory"] += 1
+        return []
+
+    monkeypatch.setattr(MLDetector, "detect", interrupt_second_point)
+    monkeypatch.setattr(simulate, "theory_points", counted_theory)
+    out = tmp_path / "partial.csv"
+    assert main(["simulate", str(path), "--out", str(out)]) == 130
+    header, first, second = out.read_text().splitlines()
+    assert header == "scheme,snr_db,kind,bits,errors,ber,seed"
+    assert first == f"theory.cfg,0,simulation,{full[0].bits},{full[0].errors},{full[0].ber:.12g},4"
+    assert second.startswith("theory.cfg,10,simulation,60,")
+    assert calls["theory"] == 0
+    assert "interrupted" in capsys.readouterr().err
+
+
+def test_simulate_interrupted_in_the_theory_rows_keeps_the_simulation_rows(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv("SIM_SEED", raising=False)
+    path = tmp_path / "theory.cfg"
+    path.write_text(CONFIG_TEXT.replace("include_theory = false", "include_theory = true"))
+    scenario = cli._load_scenario(str(path), None)
+    expected = io.StringIO()
+    simulate.write_csv(simulate.run_ber_sweep(scenario), scenario.name, scenario.seed, expected)
+
+    def interrupted_theory(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(simulate, "theory_points", interrupted_theory)
+    out = tmp_path / "partial.csv"
+    assert main(["simulate", str(path), "--out", str(out)]) == 130
+    assert out.read_text() == expected.getvalue()
+    assert "interrupted" in capsys.readouterr().err
 
 
 def test_optimize_emits_alphabet_and_log(config_path, tmp_path, capsys):

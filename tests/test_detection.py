@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,11 @@ from afdm_pim.channel import (
     apply_channel_time,
     build_effective_analytic,
     build_effective_matrix,
+    path_time_operator,
     sample_channel,
     time_domain_operator,
 )
-from afdm_pim import optimizer
+from afdm_pim import detection, mapping, optimizer
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import (
     MLDetector,
@@ -287,6 +289,58 @@ def test_cached_tables_are_shared_whatever_the_call_form():
     assert detector.candidates is codeword_time_signals(BPSK42, AL2, cap=DEFAULT_ENUMERATION_CAP)
     assert detector.payload_bits is codeword_table(BPSK42, AL2).payload_bits
     assert codeword_table(BPSK42, AL2) is codeword_table(BPSK42, AL2, DEFAULT_ENUMERATION_CAP)
+
+
+def _uncached_build(cfg, alphabet, block_rows, monkeypatch):
+    monkeypatch.setattr(mapping, "BUILD_BLOCK_ROWS", block_rows)
+    table = mapping._codeword_table.__wrapped__(cfg, alphabet, DEFAULT_ENUMERATION_CAP)
+    frames = detection._time_frames(cfg, alphabet, table.symbols, table.assignments)
+    return table, frames
+
+
+@pytest.mark.parametrize(
+    "preset, block_rows", [("fig7_pim", 1024), ("baseline_afdm", 1024), ("fig4", 256)]
+)
+def test_block_wise_build_equals_a_single_block(preset, block_rows, monkeypatch):
+    sc = make_preset(preset)
+    count = 2 ** frame_bit_count(sc.cfg)
+    assert count > block_rows
+    table, frames = _uncached_build(sc.cfg, sc.alphabet, block_rows, monkeypatch)
+    whole, whole_frames = _uncached_build(sc.cfg, sc.alphabet, count, monkeypatch)
+    for field in ("payload_bits", "symbols", "assignments"):
+        assert np.array_equal(getattr(table, field), getattr(whole, field))
+    assert np.array_equal(frames.view(float), whole_frames.view(float))
+
+
+def test_fig7_table_build_peaks_near_the_bytes_it_keeps():
+    # the outputs are filled block by block, so no full-size temporary exists
+    mapping._codeword_table.cache_clear()
+    detection._codeword_time_signals.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = codeword_table(FIG7.cfg, FIG7.alphabet)
+        frames = codeword_time_signals(FIG7.cfg, FIG7.alphabet)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (table.payload_bits, table.symbols, table.assignments, frames))
+    assert kept == 17.5 * 2**20
+    assert peak <= kept + 4 * 2**20
+
+
+def test_detectors_for_one_config_share_read_only_path_operators():
+    ch = ChannelRealization(
+        gains=np.array([0.9, 0.3j]), delays=np.array([0, 0]), dopplers=np.array([1, -1])
+    )
+    first, second = MLDetector(BPSK42, AL2), MLDetector(BPSK42, AL2)
+    first.candidate_images(ch)
+    second.candidate_images(ch)
+    for cell in ((0, 1), (0, -1)):
+        assert first._cells[cell] is second._cells[cell]
+        assert not first._cells[cell].flags.writeable
+        assert np.array_equal(first._cells[cell], path_time_operator(BPSK42, *cell))
 
 
 def test_count_bit_errors():
