@@ -113,13 +113,6 @@ def path_image_tensor(
     return out
 
 
-@lru_cache(maxsize=8)
-def _path_operators(cfg: SystemConfig) -> dict[tuple[int, int], np.ndarray]:
-    """Unit-gain path operators by (delay, Doppler) cell, filled as detectors
-    meet the cells and shared by every detector for one configuration."""
-    return {}
-
-
 class MLDetector:
     """Exhaustive joint detector over all 2**B codewords, metric in the time domain.
 
@@ -150,7 +143,7 @@ class MLDetector:
         head = (np.arange(len(self.parts)) < self.n_head)[:, None]
         self._norm_weight = np.where(head, [0.5, 0.0], [0.0, 0.5])
         self._unit = np.where(head, [0.0, 1.0], [1.0, 0.0])
-        self._cells = _path_operators(cfg)
+        self._cells: dict[tuple[int, int], np.ndarray] = {}
 
     def candidate_images(self, ch: ChannelRealization) -> np.ndarray:
         """Noise-free images (C_h + C_t, N) of the head and tail parts under the channel."""
@@ -160,7 +153,6 @@ class MLDetector:
             cell = self._cells.get((d, a))
             if cell is None:
                 cell = self._cells[(d, a)] = path_time_operator(self.cfg, d, a)
-                cell.flags.writeable = False  # shared by every detector for this config
             op += h * cell
         return self.parts @ op.T
 

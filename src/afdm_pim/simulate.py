@@ -114,13 +114,14 @@ def run_ber_sweep(
 def _sweep(scenario: Scenario, cap: int) -> tuple[list[BerPoint], bool]:
     """The points of `run_ber_sweep`, and whether an interrupt ended the sweep."""
     cfg, alphabet = scenario.cfg, scenario.alphabet
-    detector = MLDetector(cfg, alphabet, cap)
     b_total = frame_bit_count(cfg)
     weights = (1 << np.arange(b_total - 1, -1, -1)).astype(np.int64)
     source = RandomSource(scenario.seed)
     points: list[BerPoint] = []
     bits = 0
     try:
+        # an interrupt while the codebook tables are built ends the sweep too
+        detector = MLDetector(cfg, alphabet, cap)
         for point_idx, snr_db in enumerate(scenario.snr_grid_db):
             errors = bits = chunk_idx = 0
             n0 = noise_variance_from_snr_db(snr_db)

@@ -170,6 +170,26 @@ def test_simulate_interrupted_in_the_theory_rows_keeps_the_simulation_rows(
     assert "interrupted" in capsys.readouterr().err
 
 
+def test_simulate_interrupted_while_building_the_tables_writes_the_header(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv("SIM_SEED", raising=False)
+    path = tmp_path / "theory.cfg"
+    path.write_text(CONFIG_TEXT.replace("include_theory = false", "include_theory = true"))
+    theory_calls = []
+
+    def interrupted_set_up(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(MLDetector, "__init__", interrupted_set_up)
+    monkeypatch.setattr(simulate, "theory_points", lambda *a, **k: theory_calls.append(1))
+    out = tmp_path / "partial.csv"
+    assert main(["simulate", str(path), "--out", str(out)]) == 130
+    assert out.read_text() == "scheme,snr_db,kind,bits,errors,ber,seed\n"
+    assert theory_calls == []
+    assert "wrote 0 of 2 simulation points" in capsys.readouterr().err
+
+
 def test_optimize_emits_alphabet_and_log(config_path, tmp_path, capsys):
     out = tmp_path / "alpha.txt"
     log = tmp_path / "conv.csv"

@@ -9,7 +9,6 @@ from afdm_pim.channel import (
     apply_channel_time,
     build_effective_analytic,
     build_effective_matrix,
-    path_time_operator,
     sample_channel,
     time_domain_operator,
 )
@@ -328,19 +327,6 @@ def test_fig7_table_build_peaks_near_the_bytes_it_keeps():
     kept = sum(a.nbytes for a in (table.payload_bits, table.symbols, table.assignments, frames))
     assert kept == 17.5 * 2**20
     assert peak <= kept + 4 * 2**20
-
-
-def test_detectors_for_one_config_share_read_only_path_operators():
-    ch = ChannelRealization(
-        gains=np.array([0.9, 0.3j]), delays=np.array([0, 0]), dopplers=np.array([1, -1])
-    )
-    first, second = MLDetector(BPSK42, AL2), MLDetector(BPSK42, AL2)
-    first.candidate_images(ch)
-    second.candidate_images(ch)
-    for cell in ((0, 1), (0, -1)):
-        assert first._cells[cell] is second._cells[cell]
-        assert not first._cells[cell].flags.writeable
-        assert np.array_equal(first._cells[cell], path_time_operator(BPSK42, *cell))
 
 
 def test_count_bit_errors():
