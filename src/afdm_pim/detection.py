@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, path_time_operator
+from .channel import ChannelRealization, delay_doppler_cells, path_time_operator
 from .config import SystemConfig
 from .mapping import DEFAULT_ENUMERATION_CAP, PreChirpAlphabet, codeword_table, row_blocks
 
@@ -32,44 +34,105 @@ def _codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: i
     return signals
 
 
-def factor_time_signals(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[np.ndarray, int]:
-    """Head and tail parts of the codeword frames, stacked, and the head count C_h.
+@dataclass(frozen=True, eq=False)
+class FactorTables:
+    """The codebook as a product of head and tail coefficient tables.
 
     The codebook is a product over payload factors: groups when the alphabet
     has more than one value, subcarriers otherwise (b2 = 0). The payload splits
     at the factor boundary nearest half its bits, the head taking the middle
-    factor of an odd count, so a single group gives C_t = 1. Each part keeps
-    only its own subcarriers of the pre-chirped vector, and the modulation is
-    linear in that vector, so codeword c = i*C_t + j has the frame
-    parts[i] + parts[C_h + j].
+    factor of an odd count, so a single group gives C_t = 1. The head owns the
+    first n_h subcarriers and the tail the other n_t = N - n_h. Row i of `head`
+    holds the pre-chirped head values x_i shared by the codewords
+    c = i*C_t + j, then -1 (the coefficient of the received frame); row j of
+    `tail` holds the tail values y_j. The modulation is linear in the
+    pre-chirped vector, so codeword c has the frame x_i B_h + y_j B_t, where
+    the rows of B are the frames of the unit subcarriers. `cells` holds B under
+    the unit-gain path of every delay-Doppler grid cell, and `head_forms` /
+    `tail_forms` give every row's quadratic form in a Gram matrix (see
+    `MLDetector.detect`).
     """
-    return _factor_time_signals(cfg, alphabet, cap)
+
+    head: np.ndarray  # (C_h, n_h + 1) complex
+    tail: np.ndarray  # (C_t, n_t) complex
+    head_forms: np.ndarray  # (C_h, 2 (n_h + 1)(N + 1)) real
+    tail_forms: np.ndarray  # (C_t, 2 n_t (N + 1)) real
+    cells: np.ndarray  # (grid cells, N * N) complex, flattened B H_cell^T
+    cell_index: Mapping[tuple[int, int], int]  # (delay, Doppler) -> row of `cells`
+
+    @property
+    def n_head(self) -> int:
+        """Head subcarriers n_h."""
+        return self.head.shape[1] - 1
+
+
+def factor_tables(
+    cfg: SystemConfig,
+    alphabet: PreChirpAlphabet,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> FactorTables:
+    """Cached, read-only head and tail tables of the codebook (see `FactorTables`)."""
+    return _factor_tables(cfg, alphabet, cap)
 
 
 @lru_cache(maxsize=8)
-def _factor_time_signals(
-    cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int
-) -> tuple[np.ndarray, int]:
+def _factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> FactorTables:
     table = codeword_table(cfg, alphabet, cap)
-    count, b_total = table.payload_bits.shape
+    b_total = table.payload_bits.shape[1]
+    n = cfg.n_subcarriers
     factor = cfg.group_size if cfg.alphabet_size > 1 else 1
-    n_factors = cfg.n_subcarriers // factor
+    n_factors = n // factor
     head_factors = (n_factors + 1) // 2
     n_tail = 2 ** (b_total // n_factors * (n_factors - head_factors))
-    n_head = count // n_tail
-    head_carriers = head_factors * factor
-    # rows i*C_t hold head value i with a zero tail, rows j < C_t the reverse
-    symbols = np.concatenate([table.symbols[::n_tail], table.symbols[:n_tail]])
-    assignments = np.concatenate([table.assignments[::n_tail], table.assignments[:n_tail]])
-    symbols[:n_head, head_carriers:] = 0.0
-    symbols[n_head:, :head_carriers] = 0.0
-    parts = _time_frames(cfg, alphabet, symbols, assignments)
-    parts.flags.writeable = False
-    return parts, n_head
+    k = head_factors * factor
+    # rows i*C_t hold head value i with tail value 0, rows j < C_t the reverse
+    heads = _prechirped(alphabet, table.symbols[::n_tail], table.assignments[::n_tail])
+    head = np.concatenate([heads[:, :k], -np.ones((len(heads), 1))], axis=1)
+    tail = np.ascontiguousarray(
+        _prechirped(alphabet, table.symbols[:n_tail], table.assignments[:n_tail])[:, k:]
+    )
+    idft, post = _synthesis(cfg)
+    basis = idft * post
+    grid = delay_doppler_cells(cfg)
+    cells = np.stack([(basis @ path_time_operator(cfg, *cell).T).ravel() for cell in grid])
+    tables = FactorTables(
+        head=head,
+        tail=tail,
+        head_forms=_form_rows(head, 0, n + 1),
+        tail_forms=_form_rows(tail, k + 1, n + 1),
+        cells=cells,
+        cell_index=MappingProxyType({cell: row for row, cell in enumerate(grid)}),
+    )
+    for array in (head, tail, tables.head_forms, tables.tail_forms, cells):
+        array.flags.writeable = False
+    return tables
+
+
+def _form_rows(values: np.ndarray, first: int, width: int) -> np.ndarray:
+    """Rows q with q @ gram[first:first + n].view(float).ravel() = x G x^H / 2 for
+    each row x of values (n entries), G = gram[first:first + n, first:first + n]
+    and gram having `width` columns."""
+    count, size = values.shape
+    forms = np.zeros((count, size, width), dtype=complex)
+    # the float views dot to Re(sum conj(q) * gram), hence the conjugated coefficient
+    forms[:, :, first : first + size] = 0.5 * values.conj()[:, :, None] * values[:, None, :]
+    return forms.reshape(count, size * width).view(float)
+
+
+def _prechirped(
+    alphabet: PreChirpAlphabet, symbols: np.ndarray, assignments: np.ndarray
+) -> np.ndarray:
+    """Subcarrier vectors times their pattern's pre-chirp e^{i2pi c2 m^2}."""
+    m = np.arange(symbols.shape[1])
+    return symbols * np.exp(2j * np.pi * alphabet.array[assignments] * m**2)
+
+
+def _synthesis(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse DFT (N, N) and the post-chirp (N,): a frame is (x @ idft) * post."""
+    n = cfg.n_subcarriers
+    m = np.arange(n)
+    idft = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
+    return idft, np.exp(2j * np.pi * cfg.post_chirp * m**2)
 
 
 def _time_frames(
@@ -77,15 +140,10 @@ def _time_frames(
 ) -> np.ndarray:
     """Prefix-free time-domain frames of subcarrier vectors under their patterns,
     computed in row blocks (see `row_blocks`)."""
-    n = cfg.n_subcarriers
-    m = np.arange(n)
-    idft = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-    post = np.exp(2j * np.pi * cfg.post_chirp * m**2)
+    idft, post = _synthesis(cfg)
     frames = np.empty(symbols.shape, dtype=complex)
     for rows in row_blocks(len(symbols)):
-        c2 = alphabet.array[assignments[rows]]
-        pre = symbols[rows] * np.exp(2j * np.pi * c2 * m**2)
-        np.matmul(pre, idft, out=frames[rows])
+        np.matmul(_prechirped(alphabet, symbols[rows], assignments[rows]), idft, out=frames[rows])
         frames[rows] *= post
     return frames
 
@@ -114,16 +172,23 @@ def path_image_tensor(
 
 
 class MLDetector:
-    """Exhaustive joint detector over all 2**B codewords, metric in the time domain.
+    """Exhaustive joint detector over all 2**B codewords, metric in the
+    coefficient space of the head and tail subcarriers.
 
-    Every candidate frame is a head part plus a tail part (see
-    `factor_time_signals`), so under the channel operator H its image is
-    a_i + b_j for codeword c = i*C_t + j. Each detection maps the C_h + C_t
-    parts through H in one matrix product, and one C_h x C_t product of the
-    parts with their norms appended gives every |r - a_i - b_j|^2 / 2. The
-    search stays exhaustive at (C_h + C_t) N^2 complex products instead of
-    C N^2; argmin over the row-major (C_h, C_t) metrics is payload order, so
-    ties go to the lowest payload value.
+    Codeword c = i*C_t + j has the frame x_i B_h + y_j B_t (see
+    `FactorTables`), so under the channel operator H its image is
+    x_i E_h + y_j E_t with E = B H^T, the N subcarrier images. With the
+    received frame r as a row of M = [E_h; r; E_t] and its Gram matrix
+    G = M M^H, half the squared distance of codeword c is
+
+        |r - x_i E_h - y_j E_t|^2 / 2 = alpha_i + beta_j + Re(x~_i G_ht y_j^H),
+
+    where x~_i = (x_i, -1), alpha_i = x~_i G_hh x~_i^H / 2 over the head and r
+    rows, beta_j = y_j G_tt y_j^H / 2 over the tail rows, and G_ht is the
+    block between them. alpha and beta are linear in G, and one C_h x C_t real
+    product over 2 n_t + 2 columns gives every metric. The search stays
+    exhaustive; argmin over the row-major (C_h, C_t) metrics is payload order,
+    so ties go to the lowest payload value.
     """
 
     def __init__(
@@ -137,39 +202,52 @@ class MLDetector:
         table = codeword_table(cfg, alphabet, cap)
         self.payload_bits = table.payload_bits
         self.candidates = codeword_time_signals(cfg, alphabet, cap)
-        self.parts, self.n_head = factor_time_signals(cfg, alphabet, cap)
-        # homogeneous columns: a head row becomes (x, |x|^2/2, 1) and a tail row
-        # (y, 1, |y|^2/2), so their dot product is |x + y|^2 / 2
-        head = (np.arange(len(self.parts)) < self.n_head)[:, None]
-        self._norm_weight = np.where(head, [0.5, 0.0], [0.0, 0.5])
-        self._unit = np.where(head, [0.0, 1.0], [1.0, 0.0])
-        self._cells: dict[tuple[int, int], np.ndarray] = {}
+        self.tables = factor_tables(cfg, alphabet, cap)
+        # homogeneous coordinates: a head row ends (alpha_i, 1) and a tail column
+        # (1, beta_j); the tail is kept as columns, since a transposed operand
+        # makes the metric product about 1.5x slower
+        tail = self.tables.tail
+        self._head_rows = np.zeros((len(self.tables.head), 2 * tail.shape[1] + 2))
+        self._head_rows[:, -1] = 1.0
+        self._tail_cols = np.concatenate(
+            [tail.view(float).T, np.ones((1, len(tail))), np.zeros((1, len(tail)))]
+        )
 
     def candidate_images(self, ch: ChannelRealization) -> np.ndarray:
-        """Noise-free images (C_h + C_t, N) of the head and tail parts under the channel."""
+        """Noise-free images (N, N) of the unit subcarriers under the channel,
+        head subcarriers first."""
+        index = self.tables.cell_index
+        rows = []
+        for d, a in zip(ch.delays.tolist(), ch.dopplers.tolist()):
+            try:
+                rows.append(index[(d, a)])
+            except KeyError:
+                raise ValueError(
+                    f"path (delay {d}, Doppler {a}) is outside the grid: delays in "
+                    f"[0, {self.cfg.max_delay}], Dopplers in "
+                    f"[-{self.cfg.max_doppler}, {self.cfg.max_doppler}]"
+                ) from None
         n = self.cfg.n_subcarriers
-        op = np.zeros((n, n), dtype=complex)
-        for h, d, a in zip(ch.gains.tolist(), ch.delays.tolist(), ch.dopplers.tolist()):
-            cell = self._cells.get((d, a))
-            if cell is None:
-                cell = self._cells[(d, a)] = path_time_operator(self.cfg, d, a)
-            op += h * cell
-        return self.parts @ op.T
+        return np.dot(ch.gains, self.tables.cells[rows]).reshape(n, n)
 
     def detect(self, r: np.ndarray, ch: ChannelRealization) -> tuple[np.ndarray, float]:
         """Return (payload bits, squared-distance metric) of the ML codeword."""
-        k = self.n_head
+        t = self.tables
+        k = t.n_head
         images = self.candidate_images(ch)
-        images[:k] -= r  # codeword c's residual is then -(head row i + tail row j)
-        parts = images.view(float)  # real and imaginary parts side by side
-        norms = np.einsum("ij,ij->i", parts, parts)
-        rows = np.concatenate([parts, norms[:, None] * self._norm_weight + self._unit], axis=1)
-        metrics = rows[:k] @ rows[k:].T
+        # r between the head and tail images keeps each quadratic form's Gram rows contiguous
+        rows = np.concatenate([images[:k], r[None, :], images[k:]])
+        gram = rows @ rows.T.conj()
+        head, tail = self._head_rows.copy(), self._tail_cols.copy()
+        np.matmul(t.head, gram[: k + 1, k + 1 :], out=head[:, :-2].view(complex))
+        np.matmul(t.head_forms, gram[: k + 1].view(float).ravel(), out=head[:, -2])
+        np.matmul(t.tail_forms, gram[k + 1 :].view(float).ravel(), out=tail[-1])
+        metrics = head @ tail
         best = int(metrics.argmin())  # row-major is payload order: the first is the lowest
         # the expanded metric cancels to about 1e-15, so return the winner's own residual
         i, j = divmod(best, metrics.shape[1])
-        residual = parts[i] + parts[k + j]
-        return self.payload_bits[best].copy(), float(residual.dot(residual))
+        residual = np.concatenate([t.head[i], t.tail[j]]) @ rows
+        return self.payload_bits[best].copy(), float(np.vdot(residual, residual).real)
 
 
 def ml_detect(

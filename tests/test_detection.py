@@ -18,7 +18,7 @@ from afdm_pim.detection import (
     MLDetector,
     codeword_time_signals,
     count_bit_errors,
-    factor_time_signals,
+    factor_tables,
     ml_detect,
     path_image_tensor,
 )
@@ -31,7 +31,7 @@ from afdm_pim.mapping import (
     frame_bit_count,
     int_to_bits,
 )
-from afdm_pim.simulate import make_preset
+from afdm_pim.simulate import make_preset, noise_variance_from_snr_db
 from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
 BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
@@ -246,26 +246,57 @@ def test_detect_matches_exhaustive_operator_search(cfg, alphabet, geometry):
 
 @pytest.mark.parametrize("cfg, alphabet, geometry", GEOMETRY_CASES)
 def test_candidate_images_are_gain_weighted_path_images(cfg, alphabet, geometry):
-    # the images are of the head and tail parts; every head + tail sum is one
-    # codeword's image, so all C codewords are compared
+    # the images are of the unit subcarriers; the head and tail coefficients
+    # of every codeword weight them into its image, so all C codewords are compared
     rng = RandomSource(42).generator()
     gains = rng.standard_normal(len(geometry)) + 1j * rng.standard_normal(len(geometry))
     delays, dopplers = (np.array(v) for v in zip(*geometry))
     ch = ChannelRealization(gains, delays, dopplers)
     expected = path_image_tensor(cfg, alphabet, geometry) @ gains
     detector = MLDetector(cfg, alphabet)
-    images, k = detector.candidate_images(ch), detector.n_head
-    sums = (images[:k, None, :] + images[None, k:, :]).reshape(expected.shape)
+    images, tables = detector.candidate_images(ch), detector.tables
+    k = tables.n_head
+    assert images.shape == (cfg.n_subcarriers, cfg.n_subcarriers)
+    heads, tails = tables.head[:, :k] @ images[:k], tables.tail @ images[k:]
+    sums = (heads[:, None, :] + tails[None, :, :]).reshape(expected.shape)
     assert np.max(np.abs(sums - expected)) < 1e-12
+
+
+def _unit_subcarrier_frames(cfg):
+    """Row m: the prefix-free frame of a unit value on subcarrier m, no pre-chirp."""
+    m = np.arange(cfg.n_subcarriers)
+    idft = np.exp(2j * np.pi * np.outer(m, m) / cfg.n_subcarriers) / np.sqrt(cfg.n_subcarriers)
+    return idft * np.exp(2j * np.pi * cfg.post_chirp * m**2)
 
 
 @pytest.mark.parametrize("cfg, alphabet, n_head, n_tail", SPLIT_CASES)
 def test_factor_parts_sum_to_codeword_frames_in_payload_order(cfg, alphabet, n_head, n_tail):
-    parts, k = factor_time_signals(cfg, alphabet)
-    assert (k, len(parts) - k) == (n_head, n_tail)
-    frames = parts[:k, None, :] + parts[None, k:, :]  # [i, j] is codeword i*C_t + j
+    tables = factor_tables(cfg, alphabet)
+    k = tables.n_head
+    assert (len(tables.head), len(tables.tail)) == (n_head, n_tail)
+    assert tables.tail.shape[1] == cfg.n_subcarriers - k
+    assert np.array_equal(tables.head[:, k], -np.ones(n_head))  # the received frame's coefficient
+    basis = _unit_subcarrier_frames(cfg)
+    heads, tails = tables.head[:, :k] @ basis[:k], tables.tail @ basis[k:]
+    frames = heads[:, None, :] + tails[None, :, :]  # [i, j] is codeword i*C_t + j
     signals = codeword_time_signals(cfg, alphabet)
     assert np.max(np.abs(frames.reshape(signals.shape) - signals)) < 1e-12
+
+
+@pytest.mark.parametrize("cfg, alphabet, n_head, n_tail", SPLIT_CASES)
+def test_factor_forms_give_half_squared_norms(cfg, alphabet, n_head, n_tail):
+    # each form row against a Gram block is x G x^H / 2, computed directly here
+    tables = factor_tables(cfg, alphabet)
+    n, k = cfg.n_subcarriers, tables.n_head
+    rng = RandomSource(43).generator()
+    rows = rng.standard_normal((n + 1, n)) + 1j * rng.standard_normal((n + 1, n))
+    gram = rows @ rows.T.conj()
+    for values, forms, block in (
+        (tables.head, tables.head_forms, slice(0, k + 1)),
+        (tables.tail, tables.tail_forms, slice(k + 1, n + 1)),
+    ):
+        expected = 0.5 * np.sum(np.abs(values @ rows[block]) ** 2, axis=1)
+        assert np.allclose(forms @ gram[block].view(float).ravel(), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_codeword_time_signals_are_read_only():
@@ -275,10 +306,51 @@ def test_codeword_time_signals_are_read_only():
         signals[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         signals *= 2.0
-    parts, _ = factor_time_signals(BPSK42, AL2)
-    assert MLDetector(BPSK42, AL2).parts is parts
-    with pytest.raises(ValueError, match="read-only"):
-        parts[0, 0] = 0.0
+    tables = factor_tables(BPSK42, AL2)
+    assert MLDetector(BPSK42, AL2).tables is tables
+    for array in (tables.head, tables.tail, tables.head_forms, tables.tail_forms, tables.cells):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        tables.cell_index[(0, 0)] = 1
+
+
+@pytest.mark.parametrize("delay, doppler", [(0, 7), (0, -2), (1, 0), (-1, 0)])
+def test_path_outside_the_grid_is_rejected(delay, doppler):
+    # on N = 4 a Doppler of 7 aliases onto -1 and -2 onto 2 = -2 + N; neither is in the grid
+    detector = MLDetector(BPSK42, AL2)
+    r = np.ones(4, dtype=complex)
+    outside = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, delay]), np.array([1, doppler]))
+    with pytest.raises(ValueError, match="outside the grid"):
+        detector.detect(r, outside)
+    with pytest.raises(ValueError, match="outside the grid"):
+        ml_detect(r, outside, BPSK42, AL2)
+    edge = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, BPSK42.max_delay]), np.array([1, -1]))
+    bits, metric = detector.detect(r, edge)
+    assert bits.shape == (frame_bit_count(BPSK42),) and np.isfinite(metric)
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 15.0])
+def test_detect_matches_exhaustive_search_at_fig7_size(snr_db):
+    # 2^16 codewords, C_h = C_t = 256: noisy frames where near misses decide
+    cfg, alphabet = FIG7.cfg, FIG7.alphabet
+    detector = MLDetector(cfg, alphabet)
+    rng = RandomSource(44).generator()
+    n0 = noise_variance_from_snr_db(snr_db)
+    errors = 0
+    for _ in range(24):
+        payload = rng.integers(0, 2, frame_bit_count(cfg))
+        frame = bits_to_frame(payload, cfg, alphabet)
+        ch = sample_channel(cfg, FIG7.p_paths, rng)
+        s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
+        r = remove_cpp(apply_channel_time(add_cpp(s, cfg), ch, cfg, rng, n0), cfg)
+        detected, metric = detector.detect(r, ch)
+        expected, expected_metric = exhaustive_search(r, ch, cfg, alphabet)
+        assert np.array_equal(detected, expected)
+        assert metric == pytest.approx(expected_metric, rel=1e-9)
+        errors += count_bit_errors(payload, detected)
+    if snr_db == 5.0:
+        assert errors > 0  # the noise reaches decisions, not only easy ones
 
 
 def test_cached_tables_are_shared_whatever_the_call_form():
