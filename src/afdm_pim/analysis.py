@@ -14,6 +14,7 @@ from .detection import Geometry, path_image_tensor
 from .mapping import (
     DEFAULT_ENUMERATION_CAP,
     PreChirpAlphabet,
+    codeword_count,
     codeword_table,
     frame_bit_count,
 )
@@ -223,8 +224,7 @@ def diversity_order(
     columns, so each placement is reduced to its distinct cells first; the
     rank is unchanged and the scan touches each distinct support once.
     """
-    table = codeword_table(cfg, alphabet, cap)
-    count = table.symbols.shape[0]
+    count = codeword_count(cfg, cap)
     best: int | None = None
     seen: set[tuple[tuple[int, int], ...]] = set()
     for geometry in geometries:

@@ -120,11 +120,17 @@ def apply_channel_batch(
     if noise_variance > 0.0:
         if rng is None:
             raise ValueError("rng required when noise_variance > 0")
-        sigma = np.sqrt(noise_variance / 2.0)
-        received = received + sigma * (
-            rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
-        )
+        received = received + complex_awgn(rng, received.shape, noise_variance)
     return received
+
+
+def complex_awgn(
+    rng: np.random.Generator, shape: tuple[int, ...], noise_variance: float
+) -> np.ndarray:
+    """CN(0, noise_variance) samples of the given shape: all real parts, then
+    all imaginary parts, each in C order."""
+    sigma = np.sqrt(noise_variance / 2.0)
+    return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def apply_channel_time(

@@ -11,7 +11,15 @@ import numpy as np
 
 from .channel import ChannelRealization, delay_doppler_cells, path_time_operator
 from .config import SystemConfig
-from .mapping import DEFAULT_ENUMERATION_CAP, PreChirpAlphabet, codeword_table, row_blocks
+from .mapping import (
+    DEFAULT_ENUMERATION_CAP,
+    PreChirpAlphabet,
+    codeword_count,
+    codeword_rows,
+    codeword_table,
+    frame_bit_count,
+    row_blocks,
+)
 
 Geometry = Sequence[tuple[int, int]]
 
@@ -28,8 +36,7 @@ def codeword_time_signals(
 # keyed positionally, so calls that pass or omit the default cap share one entry
 @lru_cache(maxsize=8)
 def _codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> np.ndarray:
-    table = codeword_table(cfg, alphabet, cap)
-    signals = _time_frames(cfg, alphabet, table.symbols, table.assignments)
+    signals = _time_frames(cfg, alphabet, codeword_count(cfg, cap))
     signals.flags.writeable = False  # shared as `candidates` by every detector
     return signals
 
@@ -77,20 +84,18 @@ def factor_tables(
 
 @lru_cache(maxsize=8)
 def _factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> FactorTables:
-    table = codeword_table(cfg, alphabet, cap)
-    b_total = table.payload_bits.shape[1]
+    count = codeword_count(cfg, cap)
     n = cfg.n_subcarriers
     factor = cfg.group_size if cfg.alphabet_size > 1 else 1
     n_factors = n // factor
     head_factors = (n_factors + 1) // 2
-    n_tail = 2 ** (b_total // n_factors * (n_factors - head_factors))
+    n_tail = 2 ** (frame_bit_count(cfg) // n_factors * (n_factors - head_factors))
     k = head_factors * factor
-    # rows i*C_t hold head value i with tail value 0, rows j < C_t the reverse
-    heads = _prechirped(alphabet, table.symbols[::n_tail], table.assignments[::n_tail])
+    # codewords i*C_t hold head value i with tail value 0, codewords j < C_t the reverse
+    heads = _prechirped(alphabet, *codeword_rows(cfg, np.arange(0, count, n_tail)))
     head = np.concatenate([heads[:, :k], -np.ones((len(heads), 1))], axis=1)
-    tail = np.ascontiguousarray(
-        _prechirped(alphabet, table.symbols[:n_tail], table.assignments[:n_tail])[:, k:]
-    )
+    tails = _prechirped(alphabet, *codeword_rows(cfg, np.arange(n_tail)))
+    tail = np.ascontiguousarray(tails[:, k:])
     idft, post = _synthesis(cfg)
     basis = idft * post
     grid = delay_doppler_cells(cfg)
@@ -135,15 +140,14 @@ def _synthesis(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return idft, np.exp(2j * np.pi * cfg.post_chirp * m**2)
 
 
-def _time_frames(
-    cfg: SystemConfig, alphabet: PreChirpAlphabet, symbols: np.ndarray, assignments: np.ndarray
-) -> np.ndarray:
-    """Prefix-free time-domain frames of subcarrier vectors under their patterns,
-    computed in row blocks (see `row_blocks`)."""
+def _time_frames(cfg: SystemConfig, alphabet: PreChirpAlphabet, count: int) -> np.ndarray:
+    """Prefix-free time-domain frames of codewords 0 to count - 1, computed in
+    row blocks (see `row_blocks`) from their payload values."""
     idft, post = _synthesis(cfg)
-    frames = np.empty(symbols.shape, dtype=complex)
-    for rows in row_blocks(len(symbols)):
-        np.matmul(_prechirped(alphabet, symbols[rows], assignments[rows]), idft, out=frames[rows])
+    frames = np.empty((count, cfg.n_subcarriers), dtype=complex)
+    for rows in row_blocks(count):
+        symbols, assignments = codeword_rows(cfg, np.arange(rows.start, rows.stop))
+        np.matmul(_prechirped(alphabet, symbols, assignments), idft, out=frames[rows])
         frames[rows] *= post
     return frames
 

@@ -216,6 +216,16 @@ def frame_to_bits(
     return np.concatenate(out).astype(np.int8)
 
 
+def codeword_count(cfg: SystemConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """The codebook size 2**B; raises `EnumerationCapExceeded` above the cap."""
+    b_total = frame_bit_count(cfg)
+    if 2**b_total > cap:
+        raise EnumerationCapExceeded(
+            f"2^{b_total} codewords exceed the enumeration cap {cap}"
+        )
+    return 2**b_total
+
+
 def enumerate_codewords(
     cfg: SystemConfig,
     alphabet: PreChirpAlphabet,
@@ -223,11 +233,7 @@ def enumerate_codewords(
 ) -> Iterator[Frame]:
     """Yield all 2**B legitimate frames exactly once, in payload order."""
     b_total = frame_bit_count(cfg)
-    if 2**b_total > cap:
-        raise EnumerationCapExceeded(
-            f"2^{b_total} codewords exceed the enumeration cap {cap}"
-        )
-    for value in range(2**b_total):
+    for value in range(codeword_count(cfg, cap)):
         yield bits_to_frame(int_to_bits(value, b_total), cfg, alphabet)
 
 
@@ -238,13 +244,44 @@ def row_blocks(count: int) -> Iterator[slice]:
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
+def _value_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Rows of the width-bit binary forms of values, MSB first (int8)."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+
+
+def _group_patterns(cfg: SystemConfig) -> np.ndarray:
+    """One group's legitimate patterns (2**b2, N_c), in index-word order."""
+    if cfg.alphabet_size == 1:  # b2 = 0: every group's index word is 0, the all-zero pattern
+        return np.zeros((1, cfg.group_size), dtype=np.int8)
+    return np.array(group_pattern_codebook(cfg.alphabet_size, cfg.group_size), dtype=np.int8)
+
+
+def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols (R, N) complex and pattern assignments (R, N) int8 of the codewords
+    whose payloads are the B-bit forms of values (R,), as in `bits_to_frame`."""
+    values = np.asarray(values, dtype=np.int64)
+    rows = len(values)
+    const = constellation_for(cfg)
+    n, n_c, k = cfg.n_subcarriers, cfg.group_size, cfg.bits_per_symbol
+    b1 = n_c * k
+    b2 = index_bits_per_group(cfg.alphabet_size, n_c)
+    weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
+    w2 = (1 << np.arange(b2 - 1, -1, -1)).astype(np.int64)
+    per_group = _value_bits(values, frame_bit_count(cfg)).reshape(rows, cfg.n_groups, b1 + b2)
+    sym_bits = per_group[:, :, :b1].reshape(rows, cfg.n_groups, n_c, k)
+    labels = np.tensordot(sym_bits, weights, axes=([3], [0]))
+    words = np.tensordot(per_group[:, :, b1:], w2, axes=([2], [0]))
+    symbols = const.points[labels].reshape(rows, n)
+    return symbols, _group_patterns(cfg)[words].reshape(rows, n)
+
+
 @dataclass(frozen=True, eq=False)
 class CodewordTable:
-    """Dense arrays over the full codebook, in payload order."""
+    """The codebook's payloads in payload order; `codeword_rows` derives any
+    rows' symbols and patterns from their payload values."""
 
-    payload_bits: np.ndarray  # (C, B) int8
-    symbols: np.ndarray  # (C, N) complex
-    assignments: np.ndarray  # (C, N) int8
+    payload_bits: np.ndarray  # (C, B) int8, row c the B-bit form of c
 
 
 def codeword_table(
@@ -252,45 +289,19 @@ def codeword_table(
     alphabet: PreChirpAlphabet,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CodewordTable:
-    """Materialize the codebook as arrays (cached; used by detection and analysis)."""
+    """Materialize the codebook's payloads (cached; used by detection and analysis)."""
     return _codeword_table(cfg, alphabet, cap)
 
 
 # keyed positionally, so calls that pass or omit the default cap share one entry
 @lru_cache(maxsize=8)
 def _codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> CodewordTable:
+    count = codeword_count(cfg, cap)
+    _group_patterns(cfg)  # rejects an unsupported pattern mapping before any row is built
     b_total = frame_bit_count(cfg)
-    count = 2**b_total
-    if count > cap:
-        raise EnumerationCapExceeded(
-            f"2^{b_total} codewords exceed the enumeration cap {cap}"
-        )
-    const = constellation_for(cfg)
-    n, n_c, k = cfg.n_subcarriers, cfg.group_size, cfg.bits_per_symbol
-    b1 = n_c * k
-    b2 = index_bits_per_group(cfg.alphabet_size, n_c)
-    shifts = np.arange(b_total - 1, -1, -1, dtype=np.int64)
-    weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    w2 = (1 << np.arange(b2 - 1, -1, -1)).astype(np.int64)
-    if cfg.alphabet_size == 1:  # b2 = 0: every group's index word is 0, the all-zero pattern
-        perms = np.zeros((1, n_c), dtype=np.int8)
-    else:
-        perms = np.array(group_pattern_codebook(cfg.alphabet_size, n_c), dtype=np.int8)
-
-    # filled block by block, so the full-size outputs are the only large arrays
+    # filled block by block, so the output is the only full-size array
     payload = np.empty((count, b_total), dtype=np.int8)
-    symbols = np.empty((count, n), dtype=complex)
-    assignments = np.empty((count, n), dtype=np.int8)
     for rows in row_blocks(count):
-        values = np.arange(rows.start, rows.stop, dtype=np.int64)
-        payload[rows] = (values[:, None] >> shifts[None, :]) & 1
-        per_group = payload[rows].reshape(len(values), cfg.n_groups, b1 + b2)
-        sym_bits = per_group[:, :, :b1].reshape(len(values), cfg.n_groups, n_c, k)
-        labels = np.tensordot(sym_bits, weights, axes=([3], [0]))
-        symbols[rows] = const.points[labels].reshape(len(values), n)
-        words = np.tensordot(per_group[:, :, b1:], w2, axes=([2], [0]))
-        assignments[rows] = perms[words].reshape(len(values), n)
-
-    for arr in (payload, symbols, assignments):
-        arr.flags.writeable = False  # shared by every caller of the cache
-    return CodewordTable(payload_bits=payload, symbols=symbols, assignments=assignments)
+        payload[rows] = _value_bits(np.arange(rows.start, rows.stop, dtype=np.int64), b_total)
+    payload.flags.writeable = False  # shared by every caller of the cache
+    return CodewordTable(payload_bits=payload)

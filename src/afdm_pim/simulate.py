@@ -9,7 +9,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .analysis import abep_curve_jakes
-from .channel import ChannelRealization, apply_channel_batch, draw_paths
+from .channel import ChannelRealization, apply_channel_batch, complex_awgn, draw_paths
 from .config import RandomSource, SystemConfig, system_config_from_items
 from .detection import MLDetector, count_bit_errors
 from .mapping import (
@@ -132,14 +132,19 @@ def _sweep(scenario: Scenario, cap: int) -> tuple[list[BerPoint], bool]:
                 gains, delays, dopplers = draw_paths(
                     cfg, scenario.p_paths, rng, (_CHUNK_FRAMES,)
                 )
-                codeword_idx = payload.astype(np.int64) @ weights
+                # only the frames the bit budget can reach are channelled; the whole
+                # chunk's noise is still drawn, so no seeded stream depends on it
+                frames = min(_CHUNK_FRAMES, -(-(scenario.min_bits - bits) // b_total))
+                codeword_idx = payload[:frames].astype(np.int64) @ weights
                 prefixed = add_cpp(detector.candidates[codeword_idx], cfg)
                 received = apply_channel_batch(
-                    prefixed, gains, delays, dopplers, cfg, rng, n0
+                    prefixed, gains[:frames], delays[:frames], dopplers[:frames], cfg, None, 0.0
                 )
+                if n0 > 0.0:
+                    received += complex_awgn(rng, (_CHUNK_FRAMES, prefixed.shape[1]), n0)[:frames]
                 body = received[:, cfg.cpp_length :]
 
-                for f in range(_CHUNK_FRAMES):
+                for f in range(frames):
                     ch = ChannelRealization(
                         gains=gains[f], delays=delays[f], dopplers=dopplers[f]
                     )

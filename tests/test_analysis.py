@@ -118,7 +118,7 @@ def test_abep_curve_matches_scalar_upep_route():
     geoms = enumerate_placements(cfg, 2, distinct=True)
     n0 = 0.05
     table = codeword_table(cfg, al)
-    count = table.symbols.shape[0]
+    count = len(table.payload_bits)
     total = 0.0
     for geom in geoms:
         phi = path_image_tensor(cfg, al, geom)

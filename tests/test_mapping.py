@@ -9,6 +9,7 @@ from afdm_pim.mapping import (
     PreChirpAlphabet,
     PreChirpPatternGroup,
     bits_to_frame,
+    codeword_rows,
     codeword_table,
     enumerate_codewords,
     frame_bit_count,
@@ -136,20 +137,21 @@ def test_single_value_alphabet_collapses_index_bits():
 
 
 def test_codeword_table_arrays_are_read_only():
-    table = codeword_table(BPSK42, AL2)
-    for arr in (table.payload_bits, table.symbols, table.assignments):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            arr += 1
+    payload = codeword_table(BPSK42, AL2).payload_bits
+    with pytest.raises(ValueError, match="read-only"):
+        payload[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        payload += 1
 
 
 def test_codeword_table_matches_iterator():
     table = codeword_table(BPSK42, AL2)
+    symbols, assignments = codeword_rows(BPSK42, np.arange(len(table.payload_bits)))
     for idx, frame in enumerate(enumerate_codewords(BPSK42, AL2)):
         assert np.array_equal(table.payload_bits[idx], frame.payload_bits)
-        assert np.allclose(table.symbols[idx], frame.symbols)
-        assert tuple(table.assignments[idx]) == frame.pcpg.assignment
+        assert np.allclose(symbols[idx], frame.symbols)
+        assert tuple(assignments[idx]) == frame.pcpg.assignment
+    assert idx + 1 == len(table.payload_bits)
 
 
 def test_alphabet_validation():

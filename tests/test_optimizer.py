@@ -6,7 +6,7 @@ import pytest
 from afdm_pim import optimizer
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import codeword_time_signals
-from afdm_pim.mapping import PreChirpAlphabet, codeword_table
+from afdm_pim.mapping import PreChirpAlphabet, codeword_rows
 from afdm_pim.simulate import make_preset
 from afdm_pim.optimizer import (
     PsoParams,
@@ -215,10 +215,10 @@ def test_collision_score_matches_codebook_enumeration(cfg):
     off the differing subcarriers, each event counted once."""
     ctx = build_objective_context(cfg, 2)
     alphabet = PreChirpAlphabet((0.23, 0.61))
-    table = codeword_table(cfg, alphabet)
     signals = codeword_time_signals(cfg, alphabet)
-    n_c, n_words = cfg.group_size, len(table.assignments)
-    groups = table.assignments.reshape(n_words, cfg.n_groups, n_c)
+    n_c, n_words = cfg.group_size, len(signals)
+    symbols, assignments = codeword_rows(cfg, np.arange(n_words))
+    groups = assignments.reshape(n_words, cfg.n_groups, n_c)
     rank = groups @ (cfg.alphabet_size ** np.arange(n_c))  # orders group patterns
     expected = 0.0
     for c in range(n_words):
@@ -228,7 +228,7 @@ def test_collision_score_matches_codebook_enumeration(cfg):
         g = np.argmax(groups_diff, axis=1)
         ordered = rank[c, g] < rank[np.arange(n_words), g]
         support = pattern_diff.reshape(n_words, -1)
-        symbols_off = np.any((table.symbols[c] != table.symbols) & ~support, axis=1)
+        symbols_off = np.any((symbols[c] != symbols) & ~support, axis=1)
         keep = one_group & ordered & ~symbols_off
         dist = np.sum(np.abs(signals[c] - signals[keep]) ** 2, axis=1)
         size = support[keep].sum(axis=1)

@@ -5,8 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afdm_pim.config import SystemConfig
-from afdm_pim.mapping import PreChirpAlphabet
+from afdm_pim import simulate
+from afdm_pim.channel import ChannelRealization, apply_channel_batch, draw_paths
+from afdm_pim.config import RandomSource, SystemConfig
+from afdm_pim.detection import MLDetector, codeword_time_signals, count_bit_errors
+from afdm_pim.mapping import PreChirpAlphabet, frame_bit_count
 from afdm_pim.simulate import (
     PRESETS,
     BerPoint,
@@ -19,6 +22,7 @@ from afdm_pim.simulate import (
     theory_points,
     write_csv,
 )
+from afdm_pim.transceiver import add_cpp, remove_cpp
 
 BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
 AL2 = PreChirpAlphabet((0.20, 0.60))
@@ -196,6 +200,75 @@ def test_batch_channel_matches_time_domain_operator():
         ch = ChannelRealization(gains[f], delays[f], dopplers[f])
         expected = time_domain_operator(ch, cfg) @ frames[f]
         assert np.max(np.abs(batch[f, cfg.cpp_length :] - expected)) < 1e-12
+
+
+def _whole_chunk_sweep(scenario):
+    """The sweep with every chunk channelled whole, noise included, then
+    detected frame by frame: its points and the received frames it detects."""
+    cfg, chunk = scenario.cfg, simulate._CHUNK_FRAMES
+    b_total = frame_bit_count(cfg)
+    weights = 1 << np.arange(b_total - 1, -1, -1)
+    signals = codeword_time_signals(cfg, scenario.alphabet)
+    detector = MLDetector(cfg, scenario.alphabet)
+    source = RandomSource(scenario.seed)
+    points, received_frames = [], []
+    for point_idx, snr_db in enumerate(scenario.snr_grid_db):
+        n0 = noise_variance_from_snr_db(snr_db)
+        errors = bits = chunk_idx = 0
+        while errors < scenario.min_errors and bits < scenario.min_bits:
+            rng = source.generator(point_idx, chunk_idx)
+            chunk_idx += 1
+            payload = rng.integers(0, 2, size=(chunk, b_total)).astype(np.int8)
+            paths = draw_paths(cfg, scenario.p_paths, rng, (chunk,))
+            tx = add_cpp(signals[payload @ weights], cfg)
+            received = apply_channel_batch(tx, *paths, cfg, rng, n0)
+            for f in range(chunk):
+                r = remove_cpp(received[f], cfg)
+                received_frames.append(r)
+                detected, _ = detector.detect(r, ChannelRealization(*(p[f] for p in paths)))
+                errors += count_bit_errors(payload[f], detected)
+                bits += b_total
+                if errors >= scenario.min_errors or bits >= scenario.min_bits:
+                    break
+        points.append(BerPoint(snr_db, bits, errors, errors / bits, "simulation"))
+    return points, received_frames
+
+
+@pytest.mark.parametrize("min_bits", [6, 30, 33, 127 * 6, 128 * 6, 129 * 6, None])
+def test_sweep_keeps_the_whole_chunk_draw_streams(min_bits, monkeypatch):
+    # fig8_hi has 6 bits a frame and 128-frame chunks; the sweep channels only
+    # the frames its bit budget reaches, 33 bits reaching into a sixth frame.
+    # None stops on the error target after several chunks.
+    base = replace(make_preset("fig8_hi", 4), include_theory=False)
+    if min_bits is None:
+        scenario = replace(base, snr_grid_db=(15.0,), min_bits=10**6)
+    else:
+        scenario = replace(base, snr_grid_db=(10.0, 15.0), min_bits=min_bits)
+    expected, expected_frames = _whole_chunk_sweep(scenario)
+    seen = []
+    detect = MLDetector.detect
+
+    def recording(self, r, ch):
+        seen.append(r.copy())
+        return detect(self, r, ch)
+
+    channelled = []
+    channel = simulate.apply_channel_batch
+
+    def counting(prefixed, *args):
+        channelled.append(len(prefixed))
+        return channel(prefixed, *args)
+
+    monkeypatch.setattr(MLDetector, "detect", recording)
+    monkeypatch.setattr(simulate, "apply_channel_batch", counting)
+    assert run_ber_sweep(scenario) == expected
+    assert len(seen) == len(expected_frames)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected_frames))
+    if min_bits is None:
+        assert expected[0].errors >= 100 and expected[0].bits > 2 * 128 * 6
+    else:
+        assert all(p.bits == -(-min_bits // 6) * 6 for p in expected)
+        assert sum(channelled) == len(seen)  # no frame is channelled and not detected
 
 
 def test_noiseless_sweep_qam():
