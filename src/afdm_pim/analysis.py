@@ -11,13 +11,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .detection import Geometry, path_image_tensor
-from .mapping import (
-    DEFAULT_ENUMERATION_CAP,
-    PreChirpAlphabet,
-    codeword_count,
-    codeword_table,
-    frame_bit_count,
-)
+from .mapping import PreChirpAlphabet, codeword_count, codeword_table, frame_bit_count
 
 RANK_TOLERANCE = 1e-9
 
@@ -93,7 +87,6 @@ def _union_bound(
     p_paths: int,
     mixture: Sequence[tuple[Geometry, Sequence[int], float]],
     n0_values: Sequence[float],
-    cap: int,
 ) -> np.ndarray:
     """Union-bound ABEP over a weighted mixture of path supports, for several n0.
 
@@ -105,12 +98,11 @@ def _union_bound(
     n0 = np.asarray(n0_values, dtype=float)
     if np.any(n0 <= 0):
         raise ValueError("noise variances must be positive")
-    table = codeword_table(cfg, alphabet, cap)
+    payload = codeword_table(cfg, alphabet)
     b_total = frame_bit_count(cfg)
-    payload = table.payload_bits
     acc = np.zeros(n0.shape, dtype=float)
     for support, mult, weight in mixture:
-        phi = path_image_tensor(cfg, alphabet, support, cap)
+        phi = path_image_tensor(cfg, alphabet, support)
         scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
         pair_sum = np.zeros(n0.shape, dtype=float)
         for idx_i, idx_j in _pair_chunks(phi.shape[0], _PAIR_CHUNK):
@@ -132,7 +124,6 @@ def abep_curve(
     alphabet: PreChirpAlphabet,
     geometries: Sequence[Geometry],
     n0_values: Sequence[float],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Union-bound ABEP at several noise levels, averaged uniformly over the
     supplied path placements; per-path gain variance is 1/P."""
@@ -143,7 +134,7 @@ def abep_curve(
         raise ValueError("all placements must use the same number of paths")
     weight = 1.0 / len(geometries)
     mixture = [(geometry, (1,) * p_paths, weight) for geometry in geometries]
-    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values, cap)
+    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values)
 
 
 # --- bound matched to the sampled channel law ------------------------------
@@ -200,7 +191,6 @@ def abep_curve_jakes(
     alphabet: PreChirpAlphabet,
     p_paths: int,
     n0_values: Sequence[float],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Union-bound ABEP averaged over the sampled channel's own geometry law.
 
@@ -209,14 +199,13 @@ def abep_curve_jakes(
     simulated channel. This is the curve comparable to Monte-Carlo BER.
     """
     mixture = jakes_geometry_mixture(cfg, p_paths)
-    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values, cap)
+    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values)
 
 
 def diversity_order(
     cfg: SystemConfig,
     alphabet: PreChirpAlphabet,
     geometries: Sequence[Geometry],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Minimum rank of the codeword-image difference over all pairs and placements.
 
@@ -224,7 +213,7 @@ def diversity_order(
     columns, so each placement is reduced to its distinct cells first; the
     rank is unchanged and the scan touches each distinct support once.
     """
-    count = codeword_count(cfg, cap)
+    count = codeword_count(cfg)
     best: int | None = None
     seen: set[tuple[tuple[int, int], ...]] = set()
     for geometry in geometries:
@@ -232,7 +221,7 @@ def diversity_order(
         if support in seen:
             continue
         seen.add(support)
-        phi = path_image_tensor(cfg, alphabet, support, cap)
+        phi = path_image_tensor(cfg, alphabet, support)
         for idx_i, idx_j in _pair_chunks(count, _PAIR_CHUNK):
             diff = phi[idx_j] - phi[idx_i]
             psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
@@ -264,12 +253,12 @@ def check_full_diversity_conditions(
     cfg: SystemConfig, alphabet: PreChirpAlphabet, p_paths: int
 ) -> FullDiversityReport:
     """Evaluate the path-count/capacity condition; irrationality is only assumed."""
-    cap = cfg.placement_capacity
-    paths_ok = p_paths <= cap
-    frame_ok = cap <= cfg.n_subcarriers
+    capacity = cfg.placement_capacity
+    paths_ok = p_paths <= capacity
+    frame_ok = capacity <= cfg.n_subcarriers
     return FullDiversityReport(
         p_paths=p_paths,
-        placement_capacity=cap,
+        placement_capacity=capacity,
         paths_within_capacity=paths_ok,
         capacity_within_frame=frame_ok,
         condition1=paths_ok and frame_ok,

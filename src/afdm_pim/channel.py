@@ -96,11 +96,9 @@ def apply_channel_batch(
     delays: np.ndarray,
     dopplers: np.ndarray,
     cfg: SystemConfig,
-    rng: np.random.Generator | None,
-    noise_variance: float,
 ) -> np.ndarray:
-    """Sample-level channel on prefixed frames (F, N+L), each with its own paths (F, P):
-    r[n] = sum_p h_p s[n-d_p] e^{-j2pi (a_p/N) n} + w[n].
+    """Noise-free sample-level channel on prefixed frames (F, N+L), each with its
+    own paths (F, P): r[n] = sum_p h_p s[n-d_p] e^{-j2pi (a_p/N) n}.
 
     The Doppler phase is referenced to the first post-prefix sample (n = 0), and
     samples before the frame start are zero; the prefix absorbs the delay tail.
@@ -117,10 +115,6 @@ def apply_channel_batch(
         shifted[~valid] = 0.0
         phase = np.exp(-2j * np.pi * (dopplers[:, p][:, None] / n) * time_rel[None, :])
         received += gains[:, p][:, None] * shifted * phase
-    if noise_variance > 0.0:
-        if rng is None:
-            raise ValueError("rng required when noise_variance > 0")
-        received = received + complex_awgn(rng, received.shape, noise_variance)
     return received
 
 
@@ -140,7 +134,8 @@ def apply_channel_time(
     rng: np.random.Generator | None,
     noise_variance: float,
 ) -> np.ndarray:
-    """`apply_channel_batch` on one prefixed frame (N+L,)."""
+    """`apply_channel_batch` on one prefixed frame (N+L,), plus CN(0, noise_variance)
+    noise drawn from rng."""
     s_prefixed = np.asarray(s_prefixed, dtype=complex)
     total = cfg.n_subcarriers + cfg.cpp_length
     if s_prefixed.shape != (total,):
@@ -155,7 +150,12 @@ def apply_channel_time(
             f"path Dopplers must lie in [-{cfg.max_doppler}, {cfg.max_doppler}]"
         )
     paths = (ch.gains[None, :], ch.delays[None, :], ch.dopplers[None, :])
-    return apply_channel_batch(s_prefixed[None, :], *paths, cfg, rng, noise_variance)[0]
+    received = apply_channel_batch(s_prefixed[None, :], *paths, cfg)[0]
+    if noise_variance > 0.0:
+        if rng is None:
+            raise ValueError("rng required when noise_variance > 0")
+        received = received + complex_awgn(rng, received.shape, noise_variance)
+    return received
 
 
 def path_offset(cfg: SystemConfig, delay: int, doppler: int) -> int:
@@ -227,7 +227,7 @@ def build_effective_matrix(
     pcpg: PreChirpPatternGroup,
 ) -> EffectiveChannel:
     """Operator-product construction: H_p = A Gamma Delta Pi^d A^H per path."""
-    a_mat = build_daft(cfg, alphabet, pcpg).daft
+    a_mat = build_daft(cfg, alphabet, pcpg)
     a_h = a_mat.conj().T
     per_path = []
     for d, alpha in zip(ch.delays, ch.dopplers):

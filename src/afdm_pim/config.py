@@ -171,14 +171,14 @@ def constellation_for(cfg: SystemConfig) -> Constellation:
 
 @dataclass(frozen=True)
 class RandomSource:
-    """Deterministic random-stream handle: (seed, stream_id) identifies the draws."""
+    """Deterministic random-stream handle: the seed identifies the draws."""
 
     seed: int
-    stream_id: int = 0
 
     def generator(self, *extra_ids: int) -> np.random.Generator:
-        """Independent generator keyed by (seed, stream_id, *extra_ids)."""
-        key = [self.seed & _UINT64_MASK, self.stream_id & _UINT64_MASK]
+        """Independent generator keyed by (seed, *extra_ids)."""
+        # the 0 is part of every seeded stream's key: dropping it would change all draws
+        key = [self.seed & _UINT64_MASK, 0]
         key.extend(int(i) & _UINT64_MASK for i in extra_ids)
         return np.random.default_rng(key)
 

@@ -12,7 +12,6 @@ import numpy as np
 from .channel import ChannelRealization, delay_doppler_cells, path_time_operator
 from .config import SystemConfig
 from .mapping import (
-    DEFAULT_ENUMERATION_CAP,
     PreChirpAlphabet,
     codeword_count,
     codeword_rows,
@@ -24,19 +23,11 @@ from .mapping import (
 Geometry = Sequence[tuple[int, int]]
 
 
-def codeword_time_signals(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> np.ndarray:
-    """Prefix-free time-domain frames of every codeword, (C, N), in payload order."""
-    return _codeword_time_signals(cfg, alphabet, cap)
-
-
-# keyed positionally, so calls that pass or omit the default cap share one entry
 @lru_cache(maxsize=8)
-def _codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> np.ndarray:
-    signals = _time_frames(cfg, alphabet, codeword_count(cfg, cap))
+def codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> np.ndarray:
+    """Prefix-free time-domain frames of every codeword, (C, N), in payload order
+    (cached, read-only)."""
+    signals = _time_frames(cfg, alphabet, codeword_count(cfg))
     signals.flags.writeable = False  # shared as `candidates` by every detector
     return signals
 
@@ -73,18 +64,10 @@ class FactorTables:
         return self.head.shape[1] - 1
 
 
-def factor_tables(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> FactorTables:
-    """Cached, read-only head and tail tables of the codebook (see `FactorTables`)."""
-    return _factor_tables(cfg, alphabet, cap)
-
-
 @lru_cache(maxsize=8)
-def _factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> FactorTables:
-    count = codeword_count(cfg, cap)
+def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> FactorTables:
+    """Cached, read-only head and tail tables of the codebook (see `FactorTables`)."""
+    count = codeword_count(cfg)
     n = cfg.n_subcarriers
     factor = cfg.group_size if cfg.alphabet_size > 1 else 1
     n_factors = n // factor
@@ -153,10 +136,7 @@ def _time_frames(cfg: SystemConfig, alphabet: PreChirpAlphabet, count: int) -> n
 
 
 def path_image_tensor(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    geometry: Geometry,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    cfg: SystemConfig, alphabet: PreChirpAlphabet, geometry: Geometry
 ) -> np.ndarray:
     """Unit-gain received images of every codeword, per path, in one common frame.
 
@@ -165,7 +145,7 @@ def path_image_tensor(
     the distances the ML metric sees, for any pair of codewords (including
     pairs whose pre-chirp patterns differ).
     """
-    signals = codeword_time_signals(cfg, alphabet, cap)
+    signals = codeword_time_signals(cfg, alphabet)
     n = cfg.n_subcarriers
     idx = np.arange(n)
     out = np.empty(signals.shape + (len(geometry),), dtype=complex)
@@ -195,18 +175,12 @@ class MLDetector:
     so ties go to the lowest payload value.
     """
 
-    def __init__(
-        self,
-        cfg: SystemConfig,
-        alphabet: PreChirpAlphabet,
-        cap: int = DEFAULT_ENUMERATION_CAP,
-    ) -> None:
+    def __init__(self, cfg: SystemConfig, alphabet: PreChirpAlphabet) -> None:
         self.cfg = cfg
         self.alphabet = alphabet
-        table = codeword_table(cfg, alphabet, cap)
-        self.payload_bits = table.payload_bits
-        self.candidates = codeword_time_signals(cfg, alphabet, cap)
-        self.tables = factor_tables(cfg, alphabet, cap)
+        self.payload_bits = codeword_table(cfg, alphabet)
+        self.candidates = codeword_time_signals(cfg, alphabet)
+        self.tables = factor_tables(cfg, alphabet)
         # homogeneous coordinates: a head row ends (alpha_i, 1) and a tail column
         # (1, beta_j); the tail is kept as columns, since a transposed operand
         # makes the metric product about 1.5x slower
@@ -252,17 +226,6 @@ class MLDetector:
         i, j = divmod(best, metrics.shape[1])
         residual = np.concatenate([t.head[i], t.tail[j]]) @ rows
         return self.payload_bits[best].copy(), float(np.vdot(residual, residual).real)
-
-
-def ml_detect(
-    r: np.ndarray,
-    ch: ChannelRealization,
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[np.ndarray, float]:
-    """One-shot ML detection of a prefix-free received frame."""
-    return MLDetector(cfg, alphabet, cap).detect(r, ch)
 
 
 def count_bit_errors(tx: Sequence[int], rx: Sequence[int]) -> int:

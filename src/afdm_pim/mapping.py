@@ -11,14 +11,16 @@ import numpy as np
 
 from .config import SystemConfig, constellation_for
 
-DEFAULT_ENUMERATION_CAP = 2**20
+# the largest codebook any table or scan enumerates: ML detection and the
+# union bound both visit all 2^B codewords, and configs come from outside
+MAX_CODEWORDS = 2**20
 # rows per block when the codebook tables are built; a power of two, so every
 # 2^B codebook splits into equal blocks and no block is a single row
 BUILD_BLOCK_ROWS = 4096
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised when a codebook enumeration would exceed the caller's cap."""
+    """Raised when a codebook has more than `MAX_CODEWORDS` codewords."""
 
 
 @dataclass(frozen=True)
@@ -216,24 +218,20 @@ def frame_to_bits(
     return np.concatenate(out).astype(np.int8)
 
 
-def codeword_count(cfg: SystemConfig, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """The codebook size 2**B; raises `EnumerationCapExceeded` above the cap."""
+def codeword_count(cfg: SystemConfig) -> int:
+    """The codebook size 2**B; raises `EnumerationCapExceeded` above `MAX_CODEWORDS`."""
     b_total = frame_bit_count(cfg)
-    if 2**b_total > cap:
+    if 2**b_total > MAX_CODEWORDS:
         raise EnumerationCapExceeded(
-            f"2^{b_total} codewords exceed the enumeration cap {cap}"
+            f"2^{b_total} codewords exceed the enumeration limit {MAX_CODEWORDS}"
         )
     return 2**b_total
 
 
-def enumerate_codewords(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[Frame]:
+def enumerate_codewords(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> Iterator[Frame]:
     """Yield all 2**B legitimate frames exactly once, in payload order."""
     b_total = frame_bit_count(cfg)
-    for value in range(codeword_count(cfg, cap)):
+    for value in range(codeword_count(cfg)):
         yield bits_to_frame(int_to_bits(value, b_total), cfg, alphabet)
 
 
@@ -276,27 +274,11 @@ def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np
     return symbols, _group_patterns(cfg)[words].reshape(rows, n)
 
 
-@dataclass(frozen=True, eq=False)
-class CodewordTable:
-    """The codebook's payloads in payload order; `codeword_rows` derives any
-    rows' symbols and patterns from their payload values."""
-
-    payload_bits: np.ndarray  # (C, B) int8, row c the B-bit form of c
-
-
-def codeword_table(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> CodewordTable:
-    """Materialize the codebook's payloads (cached; used by detection and analysis)."""
-    return _codeword_table(cfg, alphabet, cap)
-
-
-# keyed positionally, so calls that pass or omit the default cap share one entry
 @lru_cache(maxsize=8)
-def _codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> CodewordTable:
-    count = codeword_count(cfg, cap)
+def codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> np.ndarray:
+    """The codebook's payloads (C, B) int8 in payload order, row c the B-bit form
+    of c (cached, read-only); `codeword_rows` derives any rows' symbols and patterns."""
+    count = codeword_count(cfg)
     _group_patterns(cfg)  # rejects an unsupported pattern mapping before any row is built
     b_total = frame_bit_count(cfg)
     # filled block by block, so the output is the only full-size array
@@ -304,4 +286,4 @@ def _codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, cap: int) -> 
     for rows in row_blocks(count):
         payload[rows] = _value_bits(np.arange(rows.start, rows.stop, dtype=np.int64), b_total)
     payload.flags.writeable = False  # shared by every caller of the cache
-    return CodewordTable(payload_bits=payload)
+    return payload

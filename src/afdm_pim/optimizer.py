@@ -10,13 +10,7 @@ import numpy as np
 
 from .channel import enumerate_placements, path_chirp_entries, path_offset
 from .config import SystemConfig, constellation_for
-from .mapping import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapExceeded,
-    PreChirpAlphabet,
-    frame_bit_count,
-    group_pattern_codebook,
-)
+from .mapping import PreChirpAlphabet, codeword_count, group_pattern_codebook
 
 _BATCH_ELEMENTS = 1 << 24  # cap on the broadcast tensor size per collision-score chunk
 
@@ -244,7 +238,6 @@ def brute_objective(
     alphabet,
     ctx: ObjectiveContext,
     pair: tuple[int, int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Aggregate squared distance between the two patterns' codeword-channel
     matrices, summed over ALL ordered symbol-vector pairs and placements.
@@ -254,8 +247,7 @@ def brute_objective(
     """
     j, k = _check_pair(ctx, pair)
     cfg = ctx.cfg
-    if 2 ** frame_bit_count(cfg) > cap:
-        raise EnumerationCapExceeded("codebook too large for the brute objective")
+    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
     vals = _values_of(alphabet)
     symbols = _all_symbol_vectors(cfg)
     total = 0.0
@@ -272,13 +264,11 @@ def brute_objective_equal_symbols(
     alphabet,
     ctx: ObjectiveContext,
     pair: tuple[int, int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Same aggregate distance restricted to pairs sharing the symbol vector."""
     j, k = _check_pair(ctx, pair)
     cfg = ctx.cfg
-    if 2 ** frame_bit_count(cfg) > cap:
-        raise EnumerationCapExceeded("codebook too large for the brute objective")
+    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
     vals = _values_of(alphabet)
     symbols = _all_symbol_vectors(cfg)
     total = 0.0

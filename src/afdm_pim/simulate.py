@@ -12,12 +12,7 @@ from .analysis import abep_curve_jakes
 from .channel import ChannelRealization, apply_channel_batch, complex_awgn, draw_paths
 from .config import RandomSource, SystemConfig, system_config_from_items
 from .detection import MLDetector, count_bit_errors
-from .mapping import (
-    DEFAULT_ENUMERATION_CAP,
-    PreChirpAlphabet,
-    frame_bit_count,
-    load_alphabet,
-)
+from .mapping import PreChirpAlphabet, frame_bit_count, load_alphabet
 from .transceiver import add_cpp
 
 CSV_HEADER = "scheme,snr_db,kind,bits,errors,ber,seed"
@@ -51,6 +46,12 @@ class Scenario:
             raise ValueError("p_paths must be >= 1")
         grid = tuple(float(s) for s in self.snr_grid_db)
         object.__setattr__(self, "snr_grid_db", grid)
+        if not grid:
+            raise ValueError("snr_grid_db is empty: no SNR point to simulate")
+        for snr_db in grid:
+            # +inf is the noiseless point; NaN or -inf has no noise variance to run
+            if math.isnan(snr_db) or snr_db == -math.inf:
+                raise ValueError(f"snr_grid_db holds {snr_db}: an SNR must be finite or +inf")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         for name in ("min_bits", "min_errors"):
@@ -98,9 +99,7 @@ class SweepInterrupted(KeyboardInterrupt):
         self.points = points
 
 
-def run_ber_sweep(
-    scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[BerPoint]:
+def run_ber_sweep(scenario: Scenario) -> list[BerPoint]:
     """Simulate every SNR point until the stopping rule is met.
 
     Each frame sees a fresh channel realization (block fading). All draws
@@ -108,10 +107,10 @@ def run_ber_sweep(
     output is a pure function of the scenario. An interrupt returns the
     points finished so far plus the partially accumulated one.
     """
-    return _sweep(scenario, cap)[0]
+    return _sweep(scenario)[0]
 
 
-def _sweep(scenario: Scenario, cap: int) -> tuple[list[BerPoint], bool]:
+def _sweep(scenario: Scenario) -> tuple[list[BerPoint], bool]:
     """The points of `run_ber_sweep`, and whether an interrupt ended the sweep."""
     cfg, alphabet = scenario.cfg, scenario.alphabet
     b_total = frame_bit_count(cfg)
@@ -121,7 +120,7 @@ def _sweep(scenario: Scenario, cap: int) -> tuple[list[BerPoint], bool]:
     bits = 0
     try:
         # an interrupt while the codebook tables are built ends the sweep too
-        detector = MLDetector(cfg, alphabet, cap)
+        detector = MLDetector(cfg, alphabet)
         for point_idx, snr_db in enumerate(scenario.snr_grid_db):
             errors = bits = chunk_idx = 0
             n0 = noise_variance_from_snr_db(snr_db)
@@ -138,7 +137,7 @@ def _sweep(scenario: Scenario, cap: int) -> tuple[list[BerPoint], bool]:
                 codeword_idx = payload[:frames].astype(np.int64) @ weights
                 prefixed = add_cpp(detector.candidates[codeword_idx], cfg)
                 received = apply_channel_batch(
-                    prefixed, gains[:frames], delays[:frames], dopplers[:frames], cfg, None, 0.0
+                    prefixed, gains[:frames], delays[:frames], dopplers[:frames], cfg
                 )
                 if n0 > 0.0:
                     received += complex_awgn(rng, (_CHUNK_FRAMES, prefixed.shape[1]), n0)[:frames]
@@ -168,16 +167,12 @@ def _simulation_point(snr_db: float, bits: int, errors: int) -> BerPoint:
     )
 
 
-def theory_points(
-    scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[BerPoint]:
+def theory_points(scenario: Scenario) -> list[BerPoint]:
     """Union-bound curve over the scenario's SNR grid, averaged over the same
     geometry law the simulated channel draws from (coincident cells merged)."""
     finite = [s for s in scenario.snr_grid_db if not math.isinf(s)]
     n0s = [noise_variance_from_snr_db(s) for s in finite]
-    bounds = abep_curve_jakes(
-        scenario.cfg, scenario.alphabet, scenario.p_paths, n0s, cap
-    )
+    bounds = abep_curve_jakes(scenario.cfg, scenario.alphabet, scenario.p_paths, n0s)
     return [
         BerPoint(snr_db=s, bits=0, errors=0, ber=float(b), kind="theory")
         for s, b in zip(finite, bounds)
@@ -199,20 +194,18 @@ def write_csv(
         )
 
 
-def run_scenario(
-    scenario: Scenario, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[BerPoint]:
+def run_scenario(scenario: Scenario) -> list[BerPoint]:
     """Simulation points plus, when enabled, the matching theory rows.
 
     An interrupt, in the sweep or in the theory rows, raises `SweepInterrupted`
     carrying the simulation points so far and no theory point.
     """
-    points, interrupted = _sweep(scenario, cap)
+    points, interrupted = _sweep(scenario)
     if interrupted:
         raise SweepInterrupted(points)
     if scenario.include_theory:
         try:
-            points += theory_points(scenario, cap)
+            points += theory_points(scenario)
         except KeyboardInterrupt:
             raise SweepInterrupted(points) from None
     return points
@@ -311,14 +304,12 @@ def make_preset(name: str, seed: int | None = None) -> Scenario:
     return scenario
 
 
-def run_scenario_preset(
-    name: str, seed: int | None = None, cap: int = DEFAULT_ENUMERATION_CAP
-) -> str:
+def run_scenario_preset(name: str, seed: int | None = None) -> str:
     """Run a named preset and return its CSV text."""
     import io
 
     scenario = make_preset(name, seed)
-    points = run_scenario(scenario, cap)
+    points = run_scenario(scenario)
     buf = io.StringIO()
     write_csv(points, scenario.name, scenario.seed, buf)
     return buf.getvalue()

@@ -94,7 +94,7 @@ def channel_suite(seed: int = 7, draws: int = 100) -> list[CheckResult]:
         r = remove_cpp(
             apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg
         )
-        y = build_daft(cfg, alphabet, frame.pcpg).daft @ r
+        y = build_daft(cfg, alphabet, frame.pcpg) @ r
         worst_pipeline = max(
             worst_pipeline,
             float(np.max(np.abs(y - operator.matrix @ frame.symbols))),

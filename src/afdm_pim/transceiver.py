@@ -2,28 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SystemConfig
 from .mapping import PreChirpAlphabet, PreChirpPatternGroup
 
 
-@dataclass(frozen=True, eq=False)
-class DaftMatrices:
-    """Forward transform A = Lambda_c2 @ F @ Lambda_c1 and its factors."""
-
-    pre_chirp_diag: np.ndarray
-    post_chirp_diag: np.ndarray
-    dft: np.ndarray
-    daft: np.ndarray
-
-
 def build_daft(
     cfg: SystemConfig, alphabet: PreChirpAlphabet, pcpg: PreChirpPatternGroup
-) -> DaftMatrices:
-    """Materialize the transform matrices for one frame's pre-chirp pattern."""
+) -> np.ndarray:
+    """The forward transform A = Lambda_c2 @ F @ Lambda_c1 (N, N) for one frame's
+    pre-chirp pattern."""
     n = cfg.n_subcarriers
     if len(pcpg.assignment) != n:
         raise ValueError("pattern length does not match n_subcarriers")
@@ -32,8 +21,7 @@ def build_daft(
     pre = np.diag(np.exp(-2j * np.pi * c2 * idx**2))
     post = np.diag(np.exp(-2j * np.pi * cfg.post_chirp * idx**2))
     dft = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-    daft = pre @ dft @ post
-    return DaftMatrices(pre_chirp_diag=pre, post_chirp_diag=post, dft=dft, daft=daft)
+    return pre @ dft @ post
 
 
 def modulate(
@@ -46,7 +34,7 @@ def modulate(
     x = np.asarray(x, dtype=complex)
     if x.shape != (cfg.n_subcarriers,):
         raise ValueError(f"x must have length {cfg.n_subcarriers}")
-    a = build_daft(cfg, alphabet, pcpg).daft
+    a = build_daft(cfg, alphabet, pcpg)
     return a.conj().T @ x
 
 
@@ -60,7 +48,7 @@ def demodulate(
     r = np.asarray(r, dtype=complex)
     if r.shape != (cfg.n_subcarriers,):
         raise ValueError(f"r must have length {cfg.n_subcarriers}")
-    a = build_daft(cfg, alphabet, pcpg_hypothesis).daft
+    a = build_daft(cfg, alphabet, pcpg_hypothesis)
     return a @ r
 
 

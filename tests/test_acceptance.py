@@ -75,7 +75,7 @@ def test_02_unitarity_and_noiseless_roundtrip():
     worst = 0.0
     for _ in range(100):
         frame = ap.bits_to_frame(rng.integers(0, 2, ap.frame_bit_count(cfg)), cfg, al4)
-        a = ap.build_daft(cfg, al4, frame.pcpg).daft
+        a = ap.build_daft(cfg, al4, frame.pcpg)
         worst = max(worst, float(np.linalg.norm(a @ a.conj().T - eye)))
 
     cfg2 = _bpsk(4, 2, 2, 0, 1)
@@ -113,7 +113,7 @@ def test_03_dual_channel_construction():
         r = ap.remove_cpp(
             ap.apply_channel_time(ap.add_cpp(s, cfg), ch, cfg, None, 0.0), cfg
         )
-        y = ap.build_daft(cfg, al4, frame.pcpg).daft @ r
+        y = ap.build_daft(cfg, al4, frame.pcpg) @ r
         worst_pipe = max(
             worst_pipe, float(np.max(np.abs(y - operator.matrix @ frame.symbols)))
         )

@@ -117,15 +117,15 @@ def test_abep_curve_matches_scalar_upep_route():
     al = AL2
     geoms = enumerate_placements(cfg, 2, distinct=True)
     n0 = 0.05
-    table = codeword_table(cfg, al)
-    count = len(table.payload_bits)
+    payload = codeword_table(cfg, al)
+    count = len(payload)
     total = 0.0
     for geom in geoms:
         phi = path_image_tensor(cfg, al, geom)
         scale = np.sqrt(1 / 2)
         for i, j in combinations(range(count), 2):
             pair = pairwise_difference(phi[i] * scale, phi[j] * scale)
-            tau = np.count_nonzero(table.payload_bits[i] != table.payload_bits[j])
+            tau = np.count_nonzero(payload[i] != payload[j])
             total += 2 * upep(pair, 1, n0) * tau
     b = frame_bit_count(cfg)
     expected = min(total / (b * 2.0**b * len(geoms)), 1.0)

@@ -144,7 +144,7 @@ def test_sample_level_pipeline_matches_effective_matrix():
         ch = sample_channel(CFG, 3, rng)
         s = modulate(frame.symbols, CFG, AL4, frame.pcpg)
         r = remove_cpp(apply_channel_time(add_cpp(s, CFG), ch, CFG, None, 0.0), CFG)
-        y = build_daft(CFG, AL4, frame.pcpg).daft @ r
+        y = build_daft(CFG, AL4, frame.pcpg) @ r
         h_eff = build_effective_matrix(ch, CFG, AL4, frame.pcpg).matrix
         worst = max(worst, float(np.max(np.abs(y - h_eff @ frame.symbols))))
     assert worst < 1e-9

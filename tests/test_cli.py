@@ -240,6 +240,16 @@ def test_missing_config_is_reported(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_snr_grid_is_reported(tmp_path, capsys):
+    # a stop below the start leaves no SNR point: an error, not a header-only CSV
+    path = tmp_path / "empty.cfg"
+    path.write_text(CONFIG_TEXT.replace("snr_db = 0 10", "snr_db_start = 10\nsnr_db_stop = 0"))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(path), "--out", str(out)]) == 2
+    assert "error: snr_grid_db is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preset_name_accepted_as_config(tmp_path, monkeypatch):
     # presets run with full published budgets; just verify name resolution
     from afdm_pim.cli import _load_scenario

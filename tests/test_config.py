@@ -115,11 +115,14 @@ def test_labels_roundtrip():
 
 
 def test_random_source_reproducible_and_streams_independent():
-    a = RandomSource(seed=123, stream_id=7).generator().standard_normal(16)
-    b = RandomSource(seed=123, stream_id=7).generator().standard_normal(16)
-    c = RandomSource(seed=123, stream_id=8).generator().standard_normal(16)
+    a = RandomSource(seed=123).generator(7).standard_normal(16)
+    b = RandomSource(seed=123).generator(7).standard_normal(16)
+    c = RandomSource(seed=124).generator(7).standard_normal(16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # the key keeps its historical 0 after the seed, so seeded streams do not move
+    expected = np.random.default_rng([123, 0, 7]).standard_normal(16)
+    assert np.array_equal(a, expected)
     d = RandomSource(seed=123).generator(4, 2).standard_normal(4)
     e = RandomSource(seed=123).generator(4, 3).standard_normal(4)
     assert not np.array_equal(d, e)

@@ -19,11 +19,9 @@ from afdm_pim.detection import (
     codeword_time_signals,
     count_bit_errors,
     factor_tables,
-    ml_detect,
     path_image_tensor,
 )
 from afdm_pim.mapping import (
-    DEFAULT_ENUMERATION_CAP,
     PreChirpAlphabet,
     bits_to_frame,
     codeword_table,
@@ -85,12 +83,12 @@ SPLIT_CASES = [
 ]
 
 
-def exhaustive_search(r, ch, cfg, alphabet, cap=DEFAULT_ENUMERATION_CAP):
+def exhaustive_search(r, ch, cfg, alphabet):
     """(payload bits, metric) of the closest image under the dense operator."""
-    images = codeword_time_signals(cfg, alphabet, cap) @ time_domain_operator(ch, cfg).T
+    images = codeword_time_signals(cfg, alphabet) @ time_domain_operator(ch, cfg).T
     metrics = np.sum(np.abs(r[None, :] - images) ** 2, axis=1)
     best = int(np.argmin(metrics))
-    return codeword_table(cfg, alphabet, cap).payload_bits[best], float(metrics[best])
+    return codeword_table(cfg, alphabet)[best], float(metrics[best])
 
 
 def _phi(frame, geometry, cfg, alphabet):
@@ -166,13 +164,13 @@ def test_time_and_chirp_domain_metrics_agree():
     for hyp in enumerate_codewords(BPSK42, AL2):
         s_hyp = modulate(hyp.symbols, BPSK42, AL2, hyp.pcpg)
         time_metric = np.sum(np.abs(r - op @ s_hyp) ** 2)
-        a_hyp = build_daft(BPSK42, AL2, hyp.pcpg).daft
+        a_hyp = build_daft(BPSK42, AL2, hyp.pcpg)
         h_eff = build_effective_analytic(ch, BPSK42, AL2, hyp.pcpg).matrix
         chirp_metric = np.sum(np.abs(a_hyp @ r - h_eff @ hyp.symbols) ** 2)
         assert time_metric == pytest.approx(chirp_metric, abs=1e-9)
 
 
-def test_ml_detect_function_and_noise_robust_at_high_snr():
+def test_detect_is_noise_robust_at_high_snr():
     rng = RandomSource(5).generator()
     payload = rng.integers(0, 2, frame_bit_count(BPSK42))
     frame = bits_to_frame(payload, BPSK42, AL2)
@@ -184,7 +182,7 @@ def test_ml_detect_function_and_noise_robust_at_high_snr():
     r = remove_cpp(
         apply_channel_time(add_cpp(s, BPSK42), ch, BPSK42, rng, 1e-6), BPSK42
     )
-    detected, _ = ml_detect(r, ch, BPSK42, AL2)
+    detected, _ = MLDetector(BPSK42, AL2).detect(r, ch)
     assert np.array_equal(detected, payload)
 
 
@@ -211,13 +209,6 @@ def test_detector_handles_large_codebook():
     r = remove_cpp(apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg)
     detected, _ = detector.detect(r, ch)
     assert np.array_equal(detected, payload)
-
-
-def test_detector_rejects_oversized_codebooks():
-    from afdm_pim.mapping import EnumerationCapExceeded
-
-    with pytest.raises(EnumerationCapExceeded):
-        MLDetector(BPSK42, AL2, cap=32)
 
 
 @pytest.mark.parametrize("cfg, alphabet, geometry", GEOMETRY_CASES)
@@ -300,8 +291,11 @@ def test_factor_forms_give_half_squared_norms(cfg, alphabet, n_head, n_tail):
 
 
 def test_codeword_time_signals_are_read_only():
-    signals = codeword_time_signals(BPSK42, AL2, DEFAULT_ENUMERATION_CAP)
-    assert MLDetector(BPSK42, AL2).candidates is signals
+    # every detector shares the cached arrays instead of building its own
+    signals = codeword_time_signals(BPSK42, AL2)
+    detector = MLDetector(BPSK42, AL2)
+    assert detector.candidates is signals
+    assert detector.payload_bits is codeword_table(BPSK42, AL2)
     with pytest.raises(ValueError, match="read-only"):
         signals[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -323,8 +317,6 @@ def test_path_outside_the_grid_is_rejected(delay, doppler):
     outside = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, delay]), np.array([1, doppler]))
     with pytest.raises(ValueError, match="outside the grid"):
         detector.detect(r, outside)
-    with pytest.raises(ValueError, match="outside the grid"):
-        ml_detect(r, outside, BPSK42, AL2)
     edge = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, BPSK42.max_delay]), np.array([1, -1]))
     bits, metric = detector.detect(r, edge)
     assert bits.shape == (frame_bit_count(BPSK42),) and np.isfinite(metric)
@@ -353,18 +345,9 @@ def test_detect_matches_exhaustive_search_at_fig7_size(snr_db):
         assert errors > 0  # the noise reaches decisions, not only easy ones
 
 
-def test_cached_tables_are_shared_whatever_the_call_form():
-    # the detector passes the cap positionally; other callers may leave it out
-    detector = MLDetector(BPSK42, AL2)
-    assert detector.candidates is codeword_time_signals(BPSK42, AL2)
-    assert detector.candidates is codeword_time_signals(BPSK42, AL2, cap=DEFAULT_ENUMERATION_CAP)
-    assert detector.payload_bits is codeword_table(BPSK42, AL2).payload_bits
-    assert codeword_table(BPSK42, AL2) is codeword_table(BPSK42, AL2, DEFAULT_ENUMERATION_CAP)
-
-
 def _uncached_build(cfg, alphabet, block_rows, monkeypatch):
     monkeypatch.setattr(mapping, "BUILD_BLOCK_ROWS", block_rows)
-    payload = mapping._codeword_table.__wrapped__(cfg, alphabet, DEFAULT_ENUMERATION_CAP).payload_bits
+    payload = mapping.codeword_table.__wrapped__(cfg, alphabet)
     return payload, detection._time_frames(cfg, alphabet, len(payload))
 
 
@@ -384,18 +367,18 @@ def test_block_wise_build_equals_a_single_block(preset, block_rows, monkeypatch)
 def test_fig7_table_build_peaks_near_the_bytes_it_keeps():
     # the payload bits and frames are the only full-size arrays: symbols and
     # patterns are derived block by block and dropped
-    mapping._codeword_table.cache_clear()
-    detection._codeword_time_signals.cache_clear()
+    codeword_table.cache_clear()
+    codeword_time_signals.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        table = codeword_table(FIG7.cfg, FIG7.alphabet)
+        payload = codeword_table(FIG7.cfg, FIG7.alphabet)
         frames = codeword_time_signals(FIG7.cfg, FIG7.alphabet)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = table.payload_bits.nbytes + frames.nbytes
+    kept = payload.nbytes + frames.nbytes
     assert kept == 9 * 2**20
     # measured: kept + 1.7 MiB, the temporaries of one 4,096-row block
     assert peak <= kept + 2 * 2**20

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afdm_pim import analysis, detection, optimizer, simulate
 from afdm_pim.config import SystemConfig
 from afdm_pim.mapping import (
+    MAX_CODEWORDS,
     EnumerationCapExceeded,
     PreChirpAlphabet,
     PreChirpPatternGroup,
     bits_to_frame,
+    codeword_count,
     codeword_rows,
     codeword_table,
     enumerate_codewords,
@@ -95,11 +100,53 @@ def test_roundtrip_exhaustive_and_distinct():
     assert len(seen) == 64
 
 
-def test_enumerate_counts_and_cap():
-    cfg1 = SystemConfig(n_subcarriers=2, n_groups=1, alphabet_size=2)
-    assert sum(1 for _ in enumerate_codewords(cfg1, AL2)) == 8
-    with pytest.raises(EnumerationCapExceeded):
-        list(enumerate_codewords(BPSK42, AL2, cap=32))
+# 16-QAM on N = 6, G = 3, lambda = 2: B = 3 * (2 * 4 + 1) = 27 bits, above the limit
+QAM27 = SystemConfig(
+    n_subcarriers=6, n_groups=3, alphabet_size=2, constellation_order=16,
+    constellation_kind="QAM", max_delay=1, max_doppler=1, cpp_length=1,
+)
+QAM27_SCENARIO = simulate.Scenario(
+    name="qam27", cfg=QAM27, alphabet=AL2, p_paths=2, snr_grid_db=(10.0,)
+)
+GEOMETRY = [(0, 0), (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: codeword_count(QAM27), id="codeword_count"),
+        pytest.param(lambda: next(enumerate_codewords(QAM27, AL2)), id="enumerate_codewords"),
+        pytest.param(lambda: codeword_table(QAM27, AL2), id="codeword_table"),
+        pytest.param(lambda: detection.codeword_time_signals(QAM27, AL2), id="codeword_time_signals"),
+        pytest.param(lambda: detection.factor_tables(QAM27, AL2), id="factor_tables"),
+        pytest.param(lambda: detection.path_image_tensor(QAM27, AL2, GEOMETRY), id="path_image_tensor"),
+        pytest.param(lambda: detection.MLDetector(QAM27, AL2), id="MLDetector"),
+        pytest.param(lambda: analysis.abep_curve(QAM27, AL2, [GEOMETRY], [0.1]), id="abep_curve"),
+        pytest.param(lambda: analysis.abep_curve_jakes(QAM27, AL2, 2, [0.1]), id="abep_curve_jakes"),
+        pytest.param(lambda: analysis.diversity_order(QAM27, AL2, [GEOMETRY]), id="diversity_order"),
+        pytest.param(lambda: simulate.run_ber_sweep(QAM27_SCENARIO), id="run_ber_sweep"),
+        pytest.param(lambda: simulate.theory_points(QAM27_SCENARIO), id="theory_points"),
+        pytest.param(lambda: simulate.run_scenario(QAM27_SCENARIO), id="run_scenario"),
+        # the pattern-pair context does not enumerate the codebook; its objectives do
+        pytest.param(optimizer.brute_objective, id="brute_objective"),
+        pytest.param(optimizer.brute_objective_equal_symbols, id="brute_objective_equal_symbols"),
+    ],
+)
+def test_codebook_above_the_limit_is_refused_before_allocating(call):
+    if call in (optimizer.brute_objective, optimizer.brute_objective_equal_symbols):
+        ctx, objective = optimizer.build_objective_context(QAM27, 2), call
+        call = lambda: objective(AL2, ctx, ctx.pairs[0])  # noqa: E731
+    limit = rf"2\^27 codewords exceed the enumeration limit {MAX_CODEWORDS}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded, match=limit):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured at most 8 KiB (the Jakes mixture, the sweep's bit weights, the
+    # raised exception); one 4,096-row block of this codebook's payload bits is 108 KiB
+    assert peak <= 16 * 2**10, peak
 
 
 def test_wrong_payload_length_rejected():
@@ -137,7 +184,7 @@ def test_single_value_alphabet_collapses_index_bits():
 
 
 def test_codeword_table_arrays_are_read_only():
-    payload = codeword_table(BPSK42, AL2).payload_bits
+    payload = codeword_table(BPSK42, AL2)
     with pytest.raises(ValueError, match="read-only"):
         payload[0] = 1
     with pytest.raises(ValueError, match="read-only"):
@@ -145,13 +192,13 @@ def test_codeword_table_arrays_are_read_only():
 
 
 def test_codeword_table_matches_iterator():
-    table = codeword_table(BPSK42, AL2)
-    symbols, assignments = codeword_rows(BPSK42, np.arange(len(table.payload_bits)))
+    payload = codeword_table(BPSK42, AL2)
+    symbols, assignments = codeword_rows(BPSK42, np.arange(len(payload)))
     for idx, frame in enumerate(enumerate_codewords(BPSK42, AL2)):
-        assert np.array_equal(table.payload_bits[idx], frame.payload_bits)
+        assert np.array_equal(payload[idx], frame.payload_bits)
         assert np.allclose(symbols[idx], frame.symbols)
         assert tuple(assignments[idx]) == frame.pcpg.assignment
-    assert idx + 1 == len(table.payload_bits)
+    assert idx + 1 == len(payload)
 
 
 def test_alphabet_validation():

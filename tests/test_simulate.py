@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from afdm_pim import simulate
-from afdm_pim.channel import ChannelRealization, apply_channel_batch, draw_paths
+from afdm_pim.channel import ChannelRealization, apply_channel_batch, complex_awgn, draw_paths
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import MLDetector, codeword_time_signals, count_bit_errors
 from afdm_pim.mapping import PreChirpAlphabet, frame_bit_count
@@ -45,6 +45,12 @@ def _tiny(snr=(math.inf,), min_bits=6_000, seed=3, p_paths=2):
 def test_scenario_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         _tiny(snr=(10.0, 10.0))
+    with pytest.raises(ValueError, match="empty"):
+        _tiny(snr=())
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"holds {bad}"):
+            _tiny(snr=(0.0, bad))
+    assert _tiny(snr=(0.0, math.inf)).snr_grid_db == (0.0, math.inf)
     with pytest.raises(ValueError, match="stopping rule"):
         Scenario(
             name="weak", cfg=BPSK42, alphabet=AL2, p_paths=2,
@@ -195,7 +201,7 @@ def test_batch_channel_matches_time_domain_operator():
     gains = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     delays = rng.integers(0, 3, (6, 3))
     dopplers = rng.integers(-2, 3, (6, 3))
-    batch = apply_channel_batch(add_cpp(frames, cfg), gains, delays, dopplers, cfg, None, 0.0)
+    batch = apply_channel_batch(add_cpp(frames, cfg), gains, delays, dopplers, cfg)
     for f in range(6):
         ch = ChannelRealization(gains[f], delays[f], dopplers[f])
         expected = time_domain_operator(ch, cfg) @ frames[f]
@@ -221,7 +227,9 @@ def _whole_chunk_sweep(scenario):
             payload = rng.integers(0, 2, size=(chunk, b_total)).astype(np.int8)
             paths = draw_paths(cfg, scenario.p_paths, rng, (chunk,))
             tx = add_cpp(signals[payload @ weights], cfg)
-            received = apply_channel_batch(tx, *paths, cfg, rng, n0)
+            received = apply_channel_batch(tx, *paths, cfg)
+            if n0 > 0.0:
+                received = received + complex_awgn(rng, received.shape, n0)
             for f in range(chunk):
                 r = remove_cpp(received[f], cfg)
                 received_frames.append(r)
