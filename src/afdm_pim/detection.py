@@ -24,7 +24,7 @@ Geometry = Sequence[tuple[int, int]]
 
 
 @lru_cache(maxsize=8)
-def codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> np.ndarray:
+def codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> np.ndarray:
     """Prefix-free time-domain frames of every codeword, (C, N), in payload order
     (cached, read-only)."""
     signals = _time_frames(cfg, alphabet, codeword_count(cfg))
@@ -65,7 +65,7 @@ class FactorTables:
 
 
 @lru_cache(maxsize=8)
-def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> FactorTables:
+def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> FactorTables:
     """Cached, read-only head and tail tables of the codebook (see `FactorTables`)."""
     count = codeword_count(cfg)
     n = cfg.n_subcarriers

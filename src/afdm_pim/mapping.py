@@ -275,7 +275,7 @@ def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np
 
 
 @lru_cache(maxsize=8)
-def codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> np.ndarray:
+def codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> np.ndarray:
     """The codebook's payloads (C, B) int8 in payload order, row c the B-bit form
     of c (cached, read-only); `codeword_rows` derives any rows' symbols and patterns."""
     count = codeword_count(cfg)

@@ -291,11 +291,8 @@ def test_factor_forms_give_half_squared_norms(cfg, alphabet, n_head, n_tail):
 
 
 def test_codeword_time_signals_are_read_only():
-    # every detector shares the cached arrays instead of building its own
     signals = codeword_time_signals(BPSK42, AL2)
-    detector = MLDetector(BPSK42, AL2)
-    assert detector.candidates is signals
-    assert detector.payload_bits is codeword_table(BPSK42, AL2)
+    assert MLDetector(BPSK42, AL2).candidates is signals
     with pytest.raises(ValueError, match="read-only"):
         signals[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -307,6 +304,22 @@ def test_codeword_time_signals_are_read_only():
             array[0, 0] = 0.0
     with pytest.raises(TypeError):
         tables.cell_index[(0, 0)] = 1
+
+
+def test_cached_tables_are_shared_whatever_the_call_form():
+    # every detector shares the cached arrays instead of building its own; the
+    # cached functions take positional arguments only, since a keyword call
+    # would be a second cache key and build a second copy
+    detector = MLDetector(BPSK42, AL2)
+    assert detector.candidates is codeword_time_signals(BPSK42, AL2)
+    assert detector.payload_bits is codeword_table(BPSK42, AL2)
+    assert detector.tables is factor_tables(BPSK42, AL2)
+    assert MLDetector(cfg=BPSK42, alphabet=AL2).candidates is detector.candidates
+    for cached in (codeword_table, codeword_time_signals, factor_tables):
+        with pytest.raises(TypeError):
+            cached(cfg=BPSK42, alphabet=AL2)
+        with pytest.raises(TypeError):
+            cached(BPSK42, alphabet=AL2)
 
 
 @pytest.mark.parametrize("delay, doppler", [(0, 7), (0, -2), (1, 0), (-1, 0)])
