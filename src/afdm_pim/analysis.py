@@ -98,7 +98,7 @@ def _union_bound(
     n0 = np.asarray(n0_values, dtype=float)
     if np.any(n0 <= 0):
         raise ValueError("noise variances must be positive")
-    payload = codeword_table(cfg, alphabet)
+    payload = codeword_table(cfg)
     b_total = frame_bit_count(cfg)
     acc = np.zeros(n0.shape, dtype=float)
     for support, mult, weight in mixture:
@@ -212,28 +212,31 @@ def diversity_order(
     Paths sharing a (delay, Doppler) cell contribute identical unit-gain
     columns, so each placement is reduced to its distinct cells first; the
     rank is unchanged and the scan touches each distinct support once.
+    Single-cell supports go first. A scanned one that does not end the scan
+    at 0 has every pair differ in its column, so every support holding that
+    cell has rank >= 1 and cannot lower the minimum; those are skipped.
     """
     count = codeword_count(cfg)
-    best: int | None = None
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for geometry in geometries:
-        support = tuple(dict.fromkeys((int(d), int(a)) for d, a in geometry))
-        if support in seen:
+    supports = dict.fromkeys(
+        tuple(dict.fromkeys((int(d), int(a)) for d, a in geometry)) for geometry in geometries
+    )
+    if not supports:
+        raise ValueError("no placements supplied")
+    best = max(map(len, supports))  # no support's rank exceeds its size
+    scanned: set[tuple[int, int]] = set()
+    for support in sorted(supports, key=len):
+        if not scanned.isdisjoint(support):
             continue
-        seen.add(support)
         phi = path_image_tensor(cfg, alphabet, support)
         for idx_i, idx_j in _pair_chunks(count, _PAIR_CHUNK):
             diff = phi[idx_j] - phi[idx_i]
             psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
-            eigs = _masked_eigs(psi)
-            ranks = np.count_nonzero(eigs > 0.0, axis=1)
-            low = int(ranks.min())
-            if best is None or low < best:
-                best = low
-                if best == 0:
-                    return 0
-    if best is None:
-        raise ValueError("no placements supplied")
+            ranks = np.count_nonzero(_masked_eigs(psi) > 0.0, axis=1)
+            best = min(best, int(ranks.min()))
+            if best == 0:
+                return 0
+        if len(support) == 1:
+            scanned.add(support[0])
     return best
 
 

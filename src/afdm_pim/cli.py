@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -162,6 +163,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"diversity order mu = {mu} (full would be {scenario.p_paths})")
         return 0
     # default: the union-bound curve matched to the sampled channel law
+    if all(math.isinf(s) for s in scenario.snr_grid_db):
+        raise ValueError(
+            f"the SNR grid {list(scenario.snr_grid_db)} has no finite point for the bound"
+        )
     _write_points(theory_points(scenario), scenario, args.out)
     return 0
 

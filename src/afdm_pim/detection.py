@@ -17,7 +17,6 @@ from .mapping import (
     codeword_rows,
     codeword_table,
     frame_bit_count,
-    row_blocks,
 )
 
 Geometry = Sequence[tuple[int, int]]
@@ -26,8 +25,14 @@ Geometry = Sequence[tuple[int, int]]
 @lru_cache(maxsize=8)
 def codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> np.ndarray:
     """Prefix-free time-domain frames of every codeword, (C, N), in payload order
-    (cached, read-only)."""
-    signals = _time_frames(cfg, alphabet, codeword_count(cfg))
+    (cached, read-only): the sums x_i B_h + y_j B_t of `factor_tables`."""
+    t = factor_tables(cfg, alphabet)
+    k = t.n_head
+    basis = _synthesis(cfg)
+    n = cfg.n_subcarriers
+    signals = np.empty((codeword_count(cfg), n), dtype=complex)
+    sums = signals.reshape(len(t.head), len(t.tail), n)  # [i, j] is codeword i*C_t + j
+    np.add((t.head[:, :k] @ basis[:k])[:, None], (t.tail @ basis[k:])[None], out=sums)
     signals.flags.writeable = False  # shared as `candidates` by every detector
     return signals
 
@@ -79,8 +84,7 @@ def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> FactorTab
     head = np.concatenate([heads[:, :k], -np.ones((len(heads), 1))], axis=1)
     tails = _prechirped(alphabet, *codeword_rows(cfg, np.arange(n_tail)))
     tail = np.ascontiguousarray(tails[:, k:])
-    idft, post = _synthesis(cfg)
-    basis = idft * post
+    basis = _synthesis(cfg)
     grid = delay_doppler_cells(cfg)
     cells = np.stack([(basis @ path_time_operator(cfg, *cell).T).ravel() for cell in grid])
     tables = FactorTables(
@@ -115,24 +119,13 @@ def _prechirped(
     return symbols * np.exp(2j * np.pi * alphabet.array[assignments] * m**2)
 
 
-def _synthesis(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse DFT (N, N) and the post-chirp (N,): a frame is (x @ idft) * post."""
+def _synthesis(cfg: SystemConfig) -> np.ndarray:
+    """The frames B (N, N) of the unit subcarriers, the inverse DFT times the
+    post-chirp: the prefix-free frame of pre-chirped values x is x @ B."""
     n = cfg.n_subcarriers
     m = np.arange(n)
     idft = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-    return idft, np.exp(2j * np.pi * cfg.post_chirp * m**2)
-
-
-def _time_frames(cfg: SystemConfig, alphabet: PreChirpAlphabet, count: int) -> np.ndarray:
-    """Prefix-free time-domain frames of codewords 0 to count - 1, computed in
-    row blocks (see `row_blocks`) from their payload values."""
-    idft, post = _synthesis(cfg)
-    frames = np.empty((count, cfg.n_subcarriers), dtype=complex)
-    for rows in row_blocks(count):
-        symbols, assignments = codeword_rows(cfg, np.arange(rows.start, rows.stop))
-        np.matmul(_prechirped(alphabet, symbols, assignments), idft, out=frames[rows])
-        frames[rows] *= post
-    return frames
+    return idft * np.exp(2j * np.pi * cfg.post_chirp * m**2)
 
 
 def path_image_tensor(
@@ -178,7 +171,7 @@ class MLDetector:
     def __init__(self, cfg: SystemConfig, alphabet: PreChirpAlphabet) -> None:
         self.cfg = cfg
         self.alphabet = alphabet
-        self.payload_bits = codeword_table(cfg, alphabet)
+        self.payload_bits = codeword_table(cfg)
         self.candidates = codeword_time_signals(cfg, alphabet)
         self.tables = factor_tables(cfg, alphabet)
         # homogeneous coordinates: a head row ends (alpha_i, 1) and a tail column

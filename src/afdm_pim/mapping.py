@@ -14,9 +14,6 @@ from .config import SystemConfig, constellation_for
 # the largest codebook any table or scan enumerates: ML detection and the
 # union bound both visit all 2^B codewords, and configs come from outside
 MAX_CODEWORDS = 2**20
-# rows per block when the codebook tables are built; a power of two, so every
-# 2^B codebook splits into equal blocks and no block is a single row
-BUILD_BLOCK_ROWS = 4096
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -235,13 +232,6 @@ def enumerate_codewords(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> Iterat
         yield bits_to_frame(int_to_bits(value, b_total), cfg, alphabet)
 
 
-def row_blocks(count: int) -> Iterator[slice]:
-    """Consecutive slices of BUILD_BLOCK_ROWS rows (the last may be shorter)
-    covering rows 0 to count - 1."""
-    step = BUILD_BLOCK_ROWS
-    return (slice(start, min(start + step, count)) for start in range(0, count, step))
-
-
 def _value_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Rows of the width-bit binary forms of values, MSB first (int8)."""
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -275,15 +265,18 @@ def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np
 
 
 @lru_cache(maxsize=8)
-def codeword_table(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> np.ndarray:
+def codeword_table(cfg: SystemConfig, /) -> np.ndarray:
     """The codebook's payloads (C, B) int8 in payload order, row c the B-bit form
     of c (cached, read-only); `codeword_rows` derives any rows' symbols and patterns."""
     count = codeword_count(cfg)
     _group_patterns(cfg)  # rejects an unsupported pattern mapping before any row is built
     b_total = frame_bit_count(cfg)
-    # filled block by block, so the output is the only full-size array
+    # codeword c = i * 2^(B - b_h) + j: the b_h bits of i, then the bits of j
+    b_head = b_total // 2
+    n_head = 2**b_head
     payload = np.empty((count, b_total), dtype=np.int8)
-    for rows in row_blocks(count):
-        payload[rows] = _value_bits(np.arange(rows.start, rows.stop, dtype=np.int64), b_total)
+    pairs = payload.reshape(n_head, count // n_head, b_total)
+    pairs[:, :, :b_head] = _value_bits(np.arange(n_head), b_head)[:, None]
+    pairs[:, :, b_head:] = _value_bits(np.arange(count // n_head), b_total - b_head)[None]
     payload.flags.writeable = False  # shared by every caller of the cache
     return payload

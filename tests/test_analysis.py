@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from afdm_pim import analysis
 from afdm_pim.analysis import (
     abep_curve,
     abep_curve_jakes,
@@ -117,7 +118,7 @@ def test_abep_curve_matches_scalar_upep_route():
     al = AL2
     geoms = enumerate_placements(cfg, 2, distinct=True)
     n0 = 0.05
-    payload = codeword_table(cfg, al)
+    payload = codeword_table(cfg)
     count = len(payload)
     total = 0.0
     for geom in geoms:
@@ -143,6 +144,27 @@ def test_abep_requires_positive_noise_and_geometries():
 def test_diversity_order_single_path():
     geoms = enumerate_placements(BPSK42, 1, distinct=True)
     assert diversity_order(BPSK42, AL2, geoms) == 1
+
+
+def test_diversity_scan_skips_supports_that_hold_a_scanned_cell(monkeypatch):
+    # P = 4 over the 3 cells of BPSK42: 3 single-cell, 3 two-cell and 1 three-cell support
+    geoms = enumerate_placements(BPSK42, 4, distinct=False)
+    supports = {tuple(dict.fromkeys(g)) for g in geoms}
+    assert len(supports) == 7
+    expected = min(diversity_order(BPSK42, AL2, [s]) for s in supports)
+    scans = []
+    full_scan = analysis.path_image_tensor
+
+    def spy(cfg, alphabet, support):
+        scans.append(tuple(support))
+        return full_scan(cfg, alphabet, support)
+
+    monkeypatch.setattr(analysis, "path_image_tensor", spy)
+    singletons = sorted(s for s in supports if len(s) == 1)
+    for order in (geoms, geoms[::-1]):  # single cells are scanned first either way
+        scans.clear()
+        assert diversity_order(BPSK42, AL2, order) == expected == 1
+        assert sorted(scans) == singletons
 
 
 def test_full_diversity_condition_examples():

@@ -117,6 +117,24 @@ def test_analyze_writes_the_theory_rows_of_simulate(tmp_path):
     assert ana.read_text().splitlines() == [header] + theory
 
 
+def test_analyze_refuses_a_grid_without_a_finite_snr(tmp_path, capsys):
+    path = tmp_path / "inf.cfg"
+    path.write_text(
+        CONFIG_TEXT.replace("snr_db = 0 10", "snr_db = inf").replace(
+            "include_theory = false", "include_theory = true"
+        )
+    )
+    sim, ana = tmp_path / "sim.csv", tmp_path / "ana.csv"
+    assert main(["analyze", str(path), "--out", str(ana)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[inf]" in err
+    assert not ana.exists()
+    # simulate keeps its noiseless rows and writes no theory row
+    assert main(["simulate", str(path), "--out", str(sim)]) == 0
+    _, *rows = sim.read_text().splitlines()
+    assert [row.split(",")[1:3] for row in rows] == [["inf", "simulation"]]
+
+
 def test_interrupted_simulate_keeps_partial_rows_and_exits_130(
     tmp_path, monkeypatch, capsys
 ):

@@ -12,7 +12,7 @@ from afdm_pim.channel import (
     sample_channel,
     time_domain_operator,
 )
-from afdm_pim import detection, mapping, optimizer
+from afdm_pim import optimizer
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import (
     MLDetector,
@@ -88,7 +88,7 @@ def exhaustive_search(r, ch, cfg, alphabet):
     images = codeword_time_signals(cfg, alphabet) @ time_domain_operator(ch, cfg).T
     metrics = np.sum(np.abs(r[None, :] - images) ** 2, axis=1)
     best = int(np.argmin(metrics))
-    return codeword_table(cfg, alphabet)[best], float(metrics[best])
+    return codeword_table(cfg)[best], float(metrics[best])
 
 
 def _phi(frame, geometry, cfg, alphabet):
@@ -260,8 +260,17 @@ def _unit_subcarrier_frames(cfg):
     return idft * np.exp(2j * np.pi * cfg.post_chirp * m**2)
 
 
+def _oracle_rows(count):
+    """Every payload value of a small codebook; else the first, the last and 512 seeded ones."""
+    if count <= 2**10:
+        return np.arange(count)
+    rng = RandomSource(45).generator()
+    return np.concatenate([[0, count - 1], rng.integers(0, count, 512)])
+
+
 @pytest.mark.parametrize("cfg, alphabet, n_head, n_tail", SPLIT_CASES)
 def test_factor_parts_sum_to_codeword_frames_in_payload_order(cfg, alphabet, n_head, n_tail):
+    # the oracle frames come one codeword at a time from bits_to_frame and modulate
     tables = factor_tables(cfg, alphabet)
     k = tables.n_head
     assert (len(tables.head), len(tables.tail)) == (n_head, n_tail)
@@ -269,9 +278,16 @@ def test_factor_parts_sum_to_codeword_frames_in_payload_order(cfg, alphabet, n_h
     assert np.array_equal(tables.head[:, k], -np.ones(n_head))  # the received frame's coefficient
     basis = _unit_subcarrier_frames(cfg)
     heads, tails = tables.head[:, :k] @ basis[:k], tables.tail @ basis[k:]
-    frames = heads[:, None, :] + tails[None, :, :]  # [i, j] is codeword i*C_t + j
-    signals = codeword_time_signals(cfg, alphabet)
-    assert np.max(np.abs(frames.reshape(signals.shape) - signals)) < 1e-12
+    signals, payload = codeword_time_signals(cfg, alphabet), codeword_table(cfg)
+    assert signals.shape == (n_head * n_tail, cfg.n_subcarriers)
+    b_total = frame_bit_count(cfg)
+    for value in _oracle_rows(len(signals)).tolist():
+        frame = bits_to_frame(int_to_bits(value, b_total), cfg, alphabet)
+        assert np.array_equal(payload[value], frame.payload_bits)
+        expected = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
+        i, j = divmod(value, n_tail)  # codeword i*C_t + j
+        assert np.max(np.abs(heads[i] + tails[j] - expected)) < 1e-12
+        assert np.max(np.abs(signals[value] - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("cfg, alphabet, n_head, n_tail", SPLIT_CASES)
@@ -312,9 +328,14 @@ def test_cached_tables_are_shared_whatever_the_call_form():
     # would be a second cache key and build a second copy
     detector = MLDetector(BPSK42, AL2)
     assert detector.candidates is codeword_time_signals(BPSK42, AL2)
-    assert detector.payload_bits is codeword_table(BPSK42, AL2)
+    assert detector.payload_bits is codeword_table(BPSK42)
     assert detector.tables is factor_tables(BPSK42, AL2)
     assert MLDetector(cfg=BPSK42, alphabet=AL2).candidates is detector.candidates
+    # the payload bits depend on the config alone: every alphabet shares them
+    other = PreChirpAlphabet((0.3, 0.7))
+    assert MLDetector(BPSK42, other).payload_bits is detector.payload_bits
+    with pytest.raises(TypeError):
+        codeword_table(cfg=BPSK42)
     for cached in (codeword_table, codeword_time_signals, factor_tables):
         with pytest.raises(TypeError):
             cached(cfg=BPSK42, alphabet=AL2)
@@ -358,43 +379,24 @@ def test_detect_matches_exhaustive_search_at_fig7_size(snr_db):
         assert errors > 0  # the noise reaches decisions, not only easy ones
 
 
-def _uncached_build(cfg, alphabet, block_rows, monkeypatch):
-    monkeypatch.setattr(mapping, "BUILD_BLOCK_ROWS", block_rows)
-    payload = mapping.codeword_table.__wrapped__(cfg, alphabet)
-    return payload, detection._time_frames(cfg, alphabet, len(payload))
-
-
-@pytest.mark.parametrize(
-    "preset, block_rows", [("fig7_pim", 1024), ("baseline_afdm", 1024), ("fig4", 256)]
-)
-def test_block_wise_build_equals_a_single_block(preset, block_rows, monkeypatch):
-    sc = make_preset(preset)
-    count = 2 ** frame_bit_count(sc.cfg)
-    assert count > block_rows
-    payload, frames = _uncached_build(sc.cfg, sc.alphabet, block_rows, monkeypatch)
-    whole, whole_frames = _uncached_build(sc.cfg, sc.alphabet, count, monkeypatch)
-    assert np.array_equal(payload, whole)
-    assert np.array_equal(frames.view(float), whole_frames.view(float))
-
-
 def test_fig7_table_build_peaks_near_the_bytes_it_keeps():
-    # the payload bits and frames are the only full-size arrays: symbols and
-    # patterns are derived block by block and dropped
-    codeword_table.cache_clear()
-    codeword_time_signals.cache_clear()
+    # the payload bits and frames are the only full-size arrays: both are
+    # written in place from small head and tail tables
+    for cached in (codeword_table, codeword_time_signals, factor_tables):
+        cached.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        payload = codeword_table(FIG7.cfg, FIG7.alphabet)
+        payload = codeword_table(FIG7.cfg)
         frames = codeword_time_signals(FIG7.cfg, FIG7.alphabet)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     kept = payload.nbytes + frames.nbytes
     assert kept == 9 * 2**20
-    # measured: kept + 1.7 MiB, the temporaries of one 4,096-row block
-    assert peak <= kept + 2 * 2**20
+    # measured: kept + 0.7 MiB, of which 0.37 MiB are the factor tables
+    assert peak <= kept + 2**20
 
 
 def test_count_bit_errors():

@@ -72,10 +72,7 @@ def test_pattern_mapping_rejections():
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
         index_bits_to_group_pattern([0, 0], 4, 2)
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
-        codeword_table(
-            SystemConfig(n_subcarriers=4, n_groups=1, alphabet_size=2),
-            PreChirpAlphabet((0.2, 0.6)),
-        )
+        codeword_table(SystemConfig(n_subcarriers=4, n_groups=1, alphabet_size=2))
     with pytest.raises(ValueError, match="not a permutation"):
         group_pattern_to_index_bits((1, 1, 0, 2), 4, 4)
     # a valid permutation outside the first 2**b2 codewords
@@ -116,7 +113,7 @@ GEOMETRY = [(0, 0), (1, -1)]
     [
         pytest.param(lambda: codeword_count(QAM27), id="codeword_count"),
         pytest.param(lambda: next(enumerate_codewords(QAM27, AL2)), id="enumerate_codewords"),
-        pytest.param(lambda: codeword_table(QAM27, AL2), id="codeword_table"),
+        pytest.param(lambda: codeword_table(QAM27), id="codeword_table"),
         pytest.param(lambda: detection.codeword_time_signals(QAM27, AL2), id="codeword_time_signals"),
         pytest.param(lambda: detection.factor_tables(QAM27, AL2), id="factor_tables"),
         pytest.param(lambda: detection.path_image_tensor(QAM27, AL2, GEOMETRY), id="path_image_tensor"),
@@ -184,7 +181,7 @@ def test_single_value_alphabet_collapses_index_bits():
 
 
 def test_codeword_table_arrays_are_read_only():
-    payload = codeword_table(BPSK42, AL2)
+    payload = codeword_table(BPSK42)
     with pytest.raises(ValueError, match="read-only"):
         payload[0] = 1
     with pytest.raises(ValueError, match="read-only"):
@@ -192,7 +189,7 @@ def test_codeword_table_arrays_are_read_only():
 
 
 def test_codeword_table_matches_iterator():
-    payload = codeword_table(BPSK42, AL2)
+    payload = codeword_table(BPSK42)
     symbols, assignments = codeword_rows(BPSK42, np.arange(len(payload)))
     for idx, frame in enumerate(enumerate_codewords(BPSK42, AL2)):
         assert np.array_equal(payload[idx], frame.payload_bits)
