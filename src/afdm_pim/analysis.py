@@ -11,11 +11,25 @@ import numpy as np
 
 from .config import SystemConfig
 from .detection import Geometry, path_image_tensor
-from .mapping import PreChirpAlphabet, codeword_count, codeword_table, frame_bit_count
+from .mapping import (
+    PreChirpAlphabet,
+    codeword_count,
+    codeword_table,
+    frame_bit_count,
+    index_bits_per_group,
+)
 
 RANK_TOLERANCE = 1e-9
 
 _PAIR_CHUNK = 8192
+
+
+def _masked_eigs(psi: np.ndarray) -> np.ndarray:
+    """Batched Gram eigenvalues with those at or below RANK_TOLERANCE times the
+    largest zeroed; the one relative-tolerance rule for rank and UPEP alike."""
+    eigs = np.clip(np.linalg.eigvalsh(psi), 0.0, None)
+    top = eigs[..., -1:]
+    return np.where(eigs > RANK_TOLERANCE * top, eigs, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,7 +38,7 @@ class PairwiseDifference:
 
     delta_phi: np.ndarray  # (N, P)
     psi: np.ndarray  # (P, P) Hermitian PSD
-    eigenvalues: np.ndarray  # (P,) non-negative, ascending
+    eigenvalues: np.ndarray  # (P,) non-negative, ascending, sub-tolerance ones zeroed
     rank: int
 
 
@@ -32,18 +46,9 @@ def pairwise_difference(phi_a: np.ndarray, phi_b: np.ndarray) -> PairwiseDiffere
     """Spectrum of (phi_b - phi_a); rank counts eigenvalues above the relative tolerance."""
     delta = np.asarray(phi_b, dtype=complex) - np.asarray(phi_a, dtype=complex)
     psi = delta.conj().T @ delta
-    eig = np.clip(np.linalg.eigvalsh(psi), 0.0, None)
-    top = eig[-1] if eig.size else 0.0
-    rank = int(np.count_nonzero(eig > RANK_TOLERANCE * top)) if top > 0 else 0
+    eig = _masked_eigs(psi)
+    rank = int(np.count_nonzero(eig))
     return PairwiseDifference(delta_phi=delta, psi=psi, eigenvalues=eig, rank=rank)
-
-
-def _upep_from_eigs(eigs: np.ndarray, p_paths: int, n0: float) -> float:
-    if n0 == 0.0:
-        return 1.0 / 3.0 if eigs.size == 0 else 0.0
-    t1 = np.prod(1.0 / (1.0 + eigs / (4 * p_paths * n0)))
-    t2 = np.prod(1.0 / (1.0 + eigs / (3 * p_paths * n0)))
-    return float(t1 / 12.0 + t2 / 4.0)
 
 
 def upep(pair: PairwiseDifference, p_paths: int, n0: float) -> float:
@@ -52,9 +57,12 @@ def upep(pair: PairwiseDifference, p_paths: int, n0: float) -> float:
     Uses the two-exponential tail approximation; identical codewords (rank 0)
     give the zero-distance value 1/3.
     """
-    top = pair.eigenvalues[-1] if pair.eigenvalues.size else 0.0
-    kept = pair.eigenvalues[pair.eigenvalues > RANK_TOLERANCE * top] if top > 0 else np.array([])
-    return _upep_from_eigs(kept, p_paths, n0)
+    eigs = pair.eigenvalues[pair.eigenvalues > 0.0]
+    if n0 == 0.0:
+        return 1.0 / 3.0 if eigs.size == 0 else 0.0
+    t1 = np.prod(1.0 / (1.0 + eigs / (4 * p_paths * n0)))
+    t2 = np.prod(1.0 / (1.0 + eigs / (3 * p_paths * n0)))
+    return float(t1 / 12.0 + t2 / 4.0)
 
 
 def _pair_chunks(count: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -72,13 +80,6 @@ def _pair_chunks(count: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarra
             buf_i, buf_j, size = [], [], 0
     if size:
         yield np.concatenate(buf_i), np.concatenate(buf_j)
-
-
-def _masked_eigs(psi: np.ndarray) -> np.ndarray:
-    """Batched Gram eigenvalues with sub-tolerance values zeroed."""
-    eigs = np.clip(np.linalg.eigvalsh(psi), 0.0, None)
-    top = eigs[..., -1:]
-    return np.where(eigs > RANK_TOLERANCE * top, eigs, 0.0)
 
 
 def _union_bound(
@@ -291,5 +292,5 @@ def spectral_efficiency(
     if key == "afdm_pim":
         if n_c is None:
             raise ValueError("afdm_pim needs n_c")
-        return math.floor(math.log2(math.factorial(n_c))) / n_c + bits
+        return index_bits_per_group(n_c, n_c) / n_c + bits
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -30,7 +30,7 @@ from .simulate import (
     theory_points,
     write_csv,
 )
-from .suites import run_suites
+from .suites import SUITES, run_suites
 
 
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int | None:
@@ -216,11 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.set_defaults(func=_cmd_analyze)
 
     p_val = sub.add_parser("validate", help="run the numeric invariant suites")
-    p_val.add_argument(
-        "--suite",
-        default="all",
-        choices=["all", "orthogonality", "channel", "reduction"],
-    )
+    p_val.add_argument("--suite", default="all", choices=["all", *SUITES])
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

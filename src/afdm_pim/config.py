@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -197,11 +198,19 @@ _SYSTEM_INT_FIELDS = (
 
 
 def read_config_file(path: str) -> dict[str, dict[str, str]]:
-    """Parse a sectioned key = value file into {section: {key: value}}."""
+    """Parse a sectioned key = value file into {section: {key: value}}.
+
+    A relative ``[alphabet] file`` path is resolved against the directory of
+    the config file, not the working directory.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    alphabet = sections.get("alphabet", {})
+    if "file" in alphabet:
+        alphabet["file"] = os.path.join(os.path.dirname(path), alphabet["file"])
+    return sections
 
 
 def system_config_from_items(items: dict[str, str]) -> SystemConfig:

@@ -1,9 +1,11 @@
 """End-to-end acceptance checks.
 
-Each test prints one PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`)
-with the measured quantities behind it. Test 08 pins the exact brute-force
-to reduced-objective scaling, derived in its docstring; test 09 pins that the
-collision-bounded swarm design improves the objective without losing BER.
+Each test prints a PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`)
+with the measured quantities behind it. Tests 01, 03 and 08 run the numeric
+invariant suites of `validate` (`afdm_pim.suites`) and print one line per
+suite check; the exact brute-force to reduced-objective scaling that test 08
+pins is derived in `reduction_suite`. Test 09 pins that the collision-bounded
+swarm design improves the objective without losing BER.
 """
 
 import math
@@ -14,21 +16,24 @@ import pytest
 import afdm_pim as ap
 from afdm_pim.optimizer import (
     PsoParams,
-    brute_objective,
-    brute_objective_equal_symbols,
     build_objective_context,
     min_pair_objective,
     pso_optimize,
-    reduced_objective,
     uniform_heuristic,
 )
-
-TABLE_VALUES = (0.01, 0.20, 0.29, 0.41, 0.60, 0.62, 0.80, 0.93)
+from afdm_pim.suites import channel_suite, orthogonality_suite, reduction_suite
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
     tag = "PASS" if passed else "FAIL"
     print(f"[{tag}] acceptance {num:02d} {name}: {detail}")
+
+
+def _assert_suite(num: int, results) -> None:
+    for r in results:
+        _report(num, r.name, r.passed, r.detail)
+    failed = [r.name for r in results if not r.passed]
+    assert results and not failed, f"failed checks: {failed}"
 
 
 def _bpsk(n, g, lam, d_max, a_max):
@@ -39,32 +44,7 @@ def _bpsk(n, g, lam, d_max, a_max):
 
 
 def test_01_subcarrier_orthogonality():
-    worst_off, worst_diag = 0.0, 0.0
-    for n in (4, 8, 16):
-        c1 = 3 / (2 * n)
-        samples = np.arange(n)
-        m = np.arange(n)
-        bases = {
-            v: np.exp(
-                2j * np.pi * (
-                    c1 * samples[None, :] ** 2 + v * m[:, None] ** 2
-                    + np.outer(m, samples) / n
-                )
-            ) / np.sqrt(n)
-            for v in TABLE_VALUES
-        }
-        for va in TABLE_VALUES:
-            for vb in TABLE_VALUES:
-                gram = np.abs(bases[va] @ bases[vb].conj().T)
-                off = gram - np.diag(np.diag(gram))
-                worst_off = max(worst_off, float(off.max()))
-                worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(gram) - 1))))
-    # the dedicated operation agrees with the vectorized sweep
-    spot = ap.subcarrier_inner_product(3, 5, 0.2, 0.6, 3 / 16, 8)
-    ok = worst_off < 1e-10 and worst_diag < 1e-10 and abs(spot) < 1e-10
-    _report(1, "subcarrier orthogonality", ok,
-            f"max off-diagonal {worst_off:.2e}, max |diag|-1 {worst_diag:.2e}")
-    assert ok
+    _assert_suite(1, orthogonality_suite())
 
 
 def test_02_unitarity_and_noiseless_roundtrip():
@@ -96,31 +76,7 @@ def test_02_unitarity_and_noiseless_roundtrip():
 
 
 def test_03_dual_channel_construction():
-    cfg = ap.SystemConfig(
-        n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=2, max_doppler=2,
-        cpp_length=2,
-    )
-    al4 = ap.PreChirpAlphabet(ap.TABLE_ALPHABETS[4])
-    rng = ap.RandomSource(31).generator()
-    worst_mat, worst_pipe = 0.0, 0.0
-    for _ in range(100):
-        frame = ap.bits_to_frame(rng.integers(0, 2, ap.frame_bit_count(cfg)), cfg, al4)
-        ch = ap.sample_channel(cfg, 4, rng)
-        analytic = ap.build_effective_analytic(ch, cfg, al4, frame.pcpg)
-        operator = ap.build_effective_matrix(ch, cfg, al4, frame.pcpg)
-        worst_mat = max(worst_mat, float(np.max(np.abs(analytic.matrix - operator.matrix))))
-        s = ap.modulate(frame.symbols, cfg, al4, frame.pcpg)
-        r = ap.remove_cpp(
-            ap.apply_channel_time(ap.add_cpp(s, cfg), ch, cfg, None, 0.0), cfg
-        )
-        y = ap.build_daft(cfg, al4, frame.pcpg) @ r
-        worst_pipe = max(
-            worst_pipe, float(np.max(np.abs(y - operator.matrix @ frame.symbols)))
-        )
-    ok = worst_mat < 1e-9 and worst_pipe < 1e-9
-    _report(3, "dual channel construction", ok,
-            f"analytic vs operator {worst_mat:.2e}; sample pipeline vs H_eff x {worst_pipe:.2e}")
-    assert ok
+    _assert_suite(3, channel_suite())
 
 
 def test_04_pattern_codebook_table():
@@ -202,67 +158,7 @@ def test_07_bound_vs_monte_carlo():
 
 
 def test_08_objective_reduction_scaling():
-    """The brute-force pattern distance scales the reduced objective exactly.
-
-    Write Phi_j(x) for the codeword-channel columns of symbol vector x under
-    pattern j; entry (n, p) is x[c] e^{i theta_j}, with c the path's column
-    for row n and |e^{i theta_j}| = 1.
-
-    Equal-symbol pairs (`brute_objective_equal_symbols`): the pair (x, j)
-    against (x, k) contributes, per placement, path and row,
-    |x[c]|^2 |e^{i theta_k} - e^{i theta_j}|^2 = |x[c]|^2 * 2(1 - cos dtheta).
-    Summed over all M^N symbol vectors, each column sees every point M^(N-1)
-    times, so sum_x |x[c]|^2 = M^(N-1) * M * E|s|^2 = M^N for a unit-energy
-    constellation. The brute sum is therefore exactly
-    2 * M^N = 2^(N log2 M + 1) times the reduced objective, as a ratio and
-    hence for differences too. (With 2 index bits in both configurations
-    below this equals 2^(B-1), not 2^B.)
-
-    All ordered pairs (`brute_objective`): sum_{x, x'} ||Phi_k(x) - Phi_j(x')||^2
-    expands into sum ||Phi_k(x)||^2 + sum ||Phi_j(x')||^2 minus twice the real
-    part of <sum_x Phi_k(x), sum_x' Phi_j(x')>. The norms do not depend on the
-    alphabet (unit-modulus phases) and sum_x Phi(x) = 0 for a zero-mean
-    constellation, so the sum is alphabet-independent and its differences
-    vanish.
-    """
-    failures = []
-    for kind, order in (("PSK", 2), ("QAM", 4)):
-        cfg = ap.SystemConfig(
-            n_subcarriers=4, n_groups=2, alphabet_size=2, constellation_order=order,
-            constellation_kind=kind, max_delay=0, max_doppler=1,
-        )
-        ctx = build_objective_context(cfg, 2)
-        symbol_bits = cfg.n_subcarriers * cfg.bits_per_symbol
-        scale = 2.0 ** (symbol_bits + 1)
-        rng = ap.RandomSource(23).generator()
-        for _ in range(10):
-            a1 = np.sort(rng.uniform(0.01, 0.99, 2))
-            a2 = np.sort(rng.uniform(0.01, 0.99, 2))
-            pair = ctx.pairs[int(rng.integers(len(ctx.pairs)))]
-            for alphabet in (a1, a2):
-                brute = brute_objective_equal_symbols(alphabet, ctx, pair)
-                want = scale * reduced_objective(alphabet, ctx, pair)
-                rel = abs(brute - want) / max(abs(want), 1e-300)
-                if rel > 1e-8:
-                    failures.append(
-                        f"{kind}{order}: equal-symbol brute {brute:.6e} vs "
-                        f"2^{symbol_bits + 1}*reduced {want:.6e}"
-                    )
-            full1, full2 = brute_objective(a1, ctx, pair), brute_objective(a2, ctx, pair)
-            if abs(full1 - full2) / full1 > 1e-8:
-                failures.append(
-                    f"{kind}{order}: all-pair brute {full1:.6e} vs {full2:.6e} "
-                    "depends on the alphabet"
-                )
-            if failures:
-                break
-    ok = not failures
-    _report(
-        8, "objective reduction scaling", ok,
-        "equal-symbol brute = 2^(N log2 M + 1) x reduced; all-pair brute "
-        "differences vanish — " + (failures[0] if failures else "no deviation"),
-    )
-    assert ok, "; ".join(failures)
+    _assert_suite(8, reduction_suite())
 
 
 def _one_sided_not_worse(err1, bits1, err2, bits2, z_crit=1.645):

@@ -17,7 +17,7 @@ from afdm_pim.channel import (
 )
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.mapping import PreChirpAlphabet, bits_to_frame, frame_bit_count
-from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
+from afdm_pim.transceiver import add_cpp, modulate, remove_cpp
 
 AL4 = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
 CFG = SystemConfig(
@@ -122,32 +122,6 @@ def test_effective_matrix_frobenius_tracks_gains():
     assert len(set(eff.offsets)) == 3
     expected = np.sum(np.abs(ch.gains) ** 2) * 8
     assert np.linalg.norm(eff.matrix, "fro") ** 2 == pytest.approx(expected)
-
-
-def test_dual_construction_agreement():
-    rng = RandomSource(9).generator()
-    worst = 0.0
-    for _ in range(100):
-        frame = _frame(rng)
-        ch = sample_channel(CFG, 4, rng)
-        a = build_effective_analytic(ch, CFG, AL4, frame.pcpg)
-        m = build_effective_matrix(ch, CFG, AL4, frame.pcpg)
-        worst = max(worst, float(np.max(np.abs(a.matrix - m.matrix))))
-    assert worst < 1e-9
-
-
-def test_sample_level_pipeline_matches_effective_matrix():
-    rng = RandomSource(10).generator()
-    worst = 0.0
-    for _ in range(50):
-        frame = _frame(rng)
-        ch = sample_channel(CFG, 3, rng)
-        s = modulate(frame.symbols, CFG, AL4, frame.pcpg)
-        r = remove_cpp(apply_channel_time(add_cpp(s, CFG), ch, CFG, None, 0.0), CFG)
-        y = build_daft(CFG, AL4, frame.pcpg) @ r
-        h_eff = build_effective_matrix(ch, CFG, AL4, frame.pcpg).matrix
-        worst = max(worst, float(np.max(np.abs(y - h_eff @ frame.symbols))))
-    assert worst < 1e-9
 
 
 def test_time_domain_operator_equals_sample_route():

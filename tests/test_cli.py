@@ -247,10 +247,32 @@ def test_optimize_rejects_unknown_pso_key(config_path, capsys):
     assert "unknown pso parameter" in capsys.readouterr().err
 
 
+def test_alphabet_file_is_read_from_the_config_directory(
+    config_path, tmp_path, monkeypatch, capsys
+):
+    # same file name as config_path, so the CSV scheme column matches too
+    relative = tmp_path / "cfgdir" / "small.cfg"
+    absolute = tmp_path / "absdir" / "small.cfg"
+    alphabet = relative.parent / "alpha.txt"
+    relative.parent.mkdir()
+    absolute.parent.mkdir()
+    alphabet.write_text("0.2\n0.6\n")
+    relative.write_text(CONFIG_TEXT.replace("values = 0.2 0.6", "file = alpha.txt"))
+    absolute.write_text(CONFIG_TEXT.replace("values = 0.2 0.6", f"file = {alphabet}"))
+    monkeypatch.chdir(tmp_path)  # holds no alpha.txt
+    for command in ("simulate", "analyze"):
+        assert main([command, config_path]) == 0
+        inline = capsys.readouterr().out
+        for path in (relative, absolute):
+            assert main([command, str(path)]) == 0
+            assert capsys.readouterr().out == inline
+    assert main(["optimize", str(relative), "--pso-params", "particles=4,iterations=1"]) == 0
+
+
 def test_validate_suites(capsys):
-    assert main(["validate", "--suite", "orthogonality"]) == 0
+    assert main(["validate", "--suite", "all"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS]" in out and "checks passed" in out
+    assert out.count("[PASS]") == 9 and "9/9 checks passed" in out
 
 
 def test_missing_config_is_reported(capsys):

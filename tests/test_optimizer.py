@@ -10,7 +10,6 @@ from afdm_pim.mapping import PreChirpAlphabet, codeword_rows
 from afdm_pim.simulate import make_preset
 from afdm_pim.optimizer import (
     PsoParams,
-    brute_objective,
     brute_objective_equal_symbols,
     build_objective_context,
     collision_score,
@@ -95,26 +94,6 @@ def test_reduced_objective_rejects_wide_pairs():
             break
     with pytest.raises(ValueError, match="not 2"):
         reduced_objective(np.array([0.1, 0.5, 0.9]), ctx, wide)
-
-
-@pytest.mark.parametrize("cfg", [CFG_PSK, CFG_QAM], ids=["bpsk", "4qam"])
-def test_brute_reduction_true_identities(cfg):
-    """All-pair brute differences cancel exactly; equal-symbol brute differences
-    scale the reduced objective by exactly 2^(b1*G + 1)."""
-    ctx = build_objective_context(cfg, 2)
-    scale = 2.0 ** (cfg.n_groups * cfg.group_size * cfg.bits_per_symbol + 1)
-    rng = RandomSource(17).generator()
-    for _ in range(3):
-        a1 = np.sort(rng.uniform(0.01, 0.99, 2))
-        a2 = np.sort(rng.uniform(0.01, 0.99, 2))
-        pair = ctx.pairs[int(rng.integers(len(ctx.pairs)))]
-        full1, full2 = brute_objective(a1, ctx, pair), brute_objective(a2, ctx, pair)
-        assert abs(full1 - full2) / full1 < 1e-10
-        d_diag = brute_objective_equal_symbols(a1, ctx, pair) - (
-            brute_objective_equal_symbols(a2, ctx, pair)
-        )
-        d_red = reduced_objective(a1, ctx, pair) - reduced_objective(a2, ctx, pair)
-        assert d_diag == pytest.approx(scale * d_red, rel=1e-10)
 
 
 def test_equal_symbol_brute_vanishes_for_equal_patterns():

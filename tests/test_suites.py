@@ -1,22 +1,6 @@
 import pytest
 
-from afdm_pim.suites import channel_suite, orthogonality_suite, reduction_suite, run_suites
-
-
-def test_orthogonality_suite_passes():
-    assert all(r.passed for r in orthogonality_suite())
-
-
-def test_channel_suite_passes_with_reduced_draws():
-    results = channel_suite(seed=3, draws=20)
-    assert [r.name for r in results] == ["dual channel construction", "sample-level pipeline"]
-    assert all(r.passed for r in results)
-
-
-def test_reduction_suite_passes_with_reduced_trials():
-    results = reduction_suite(seed=5, trials=2)
-    assert len(results) == 4
-    assert all(r.passed for r in results)
+from afdm_pim.suites import run_suites
 
 
 def test_run_suites_rejects_unknown():
