@@ -253,13 +253,11 @@ class FullDiversityReport:
     condition2_note: str
 
 
-def check_full_diversity_conditions(
-    cfg: SystemConfig, alphabet: PreChirpAlphabet, p_paths: int
-) -> FullDiversityReport:
+def check_full_diversity_conditions(cfg: SystemConfig, p_paths: int) -> FullDiversityReport:
     """Evaluate the path-count/capacity condition; irrationality is only assumed."""
     capacity = cfg.placement_capacity
     paths_ok = p_paths <= capacity
-    frame_ok = capacity <= cfg.n_subcarriers
+    frame_ok = cfg.placement_capacity_ok
     return FullDiversityReport(
         p_paths=p_paths,
         placement_capacity=capacity,

@@ -150,7 +150,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         return 0
     if args.diversity:
-        report = check_full_diversity_conditions(cfg, scenario.alphabet, scenario.p_paths)
+        report = check_full_diversity_conditions(cfg, scenario.p_paths)
         distinct = scenario.p_paths <= cfg.placement_capacity
         geometries = enumerate_placements(cfg, scenario.p_paths, distinct=distinct)
         mu = diversity_order(cfg, scenario.alphabet, geometries)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .mapping import (
     codeword_table,
     frame_bit_count,
 )
+from .transceiver import chirp_basis
 
 Geometry = Sequence[tuple[int, int]]
 
@@ -26,15 +27,17 @@ Geometry = Sequence[tuple[int, int]]
 def codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> np.ndarray:
     """Prefix-free time-domain frames of every codeword, (C, N), in payload order
     (cached, read-only): the sums x_i B_h + y_j B_t of `factor_tables`."""
-    t = factor_tables(cfg, alphabet)
-    k = t.n_head
-    basis = _synthesis(cfg)
-    n = cfg.n_subcarriers
-    signals = np.empty((codeword_count(cfg), n), dtype=complex)
-    sums = signals.reshape(len(t.head), len(t.tail), n)  # [i, j] is codeword i*C_t + j
-    np.add((t.head[:, :k] @ basis[:k])[:, None], (t.tail @ basis[k:])[None], out=sums)
+    signals = _codeword_sums(factor_tables(cfg, alphabet), _synthesis(cfg))
     signals.flags.writeable = False  # shared as `candidates` by every detector
     return signals
+
+
+def _codeword_sums(t: FactorTables, e: np.ndarray) -> np.ndarray:
+    """The sums x_i E_h + y_j E_t (C, N) of every codeword c = i*C_t + j, for
+    images E (N, N) of the unit subcarriers, head subcarriers first."""
+    k = t.n_head
+    sums = np.add((t.head[:, :k] @ e[:k])[:, None], (t.tail @ e[k:])[None])
+    return sums.reshape(-1, e.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +70,17 @@ class FactorTables:
     def n_head(self) -> int:
         """Head subcarriers n_h."""
         return self.head.shape[1] - 1
+
+    def cell_rows(self, cells: Iterable[tuple[int, int]]) -> list[int]:
+        """Rows of `cells` for (delay, Doppler) cells; ValueError for one outside the grid."""
+        try:
+            return [self.cell_index[(d, a)] for d, a in cells]
+        except KeyError as err:
+            (d, a), (d_max, a_max) = err.args[0], max(self.cell_index)
+            raise ValueError(
+                f"path (delay {d}, Doppler {a}) is outside the grid: delays in "
+                f"[0, {d_max}], Dopplers in [-{a_max}, {a_max}]"
+            ) from None
 
 
 @lru_cache(maxsize=8)
@@ -122,10 +136,7 @@ def _prechirped(
 def _synthesis(cfg: SystemConfig) -> np.ndarray:
     """The frames B (N, N) of the unit subcarriers, the inverse DFT times the
     post-chirp: the prefix-free frame of pre-chirped values x is x @ B."""
-    n = cfg.n_subcarriers
-    m = np.arange(n)
-    idft = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-    return idft * np.exp(2j * np.pi * cfg.post_chirp * m**2)
+    return chirp_basis(cfg.n_subcarriers, cfg.post_chirp, 0.0)
 
 
 def path_image_tensor(
@@ -136,16 +147,14 @@ def path_image_tensor(
     Entry [c, n, p] is the time-domain sample n of codeword c's frame after the
     unit-gain path geometry[p]. Differences of these tensors measure exactly
     the distances the ML metric sees, for any pair of codewords (including
-    pairs whose pre-chirp patterns differ).
+    pairs whose pre-chirp patterns differ). They are the sums of
+    `factor_tables` cell images that `MLDetector` scores; a path outside the
+    delay-Doppler grid raises ValueError.
     """
-    signals = codeword_time_signals(cfg, alphabet)
+    t = factor_tables(cfg, alphabet)
     n = cfg.n_subcarriers
-    idx = np.arange(n)
-    out = np.empty(signals.shape + (len(geometry),), dtype=complex)
-    for p, (d, a) in enumerate(geometry):
-        col = (idx - d) % n
-        out[:, :, p] = path_time_operator(cfg, d, a)[idx, col] * signals[:, col]
-    return out
+    images = t.cells[t.cell_rows(geometry)].reshape(-1, n, n)
+    return np.stack([_codeword_sums(t, e) for e in images], axis=-1)
 
 
 class MLDetector:
@@ -187,17 +196,7 @@ class MLDetector:
     def candidate_images(self, ch: ChannelRealization) -> np.ndarray:
         """Noise-free images (N, N) of the unit subcarriers under the channel,
         head subcarriers first."""
-        index = self.tables.cell_index
-        rows = []
-        for d, a in zip(ch.delays.tolist(), ch.dopplers.tolist()):
-            try:
-                rows.append(index[(d, a)])
-            except KeyError:
-                raise ValueError(
-                    f"path (delay {d}, Doppler {a}) is outside the grid: delays in "
-                    f"[0, {self.cfg.max_delay}], Dopplers in "
-                    f"[-{self.cfg.max_doppler}, {self.cfg.max_doppler}]"
-                ) from None
+        rows = self.tables.cell_rows(zip(ch.delays.tolist(), ch.dopplers.tolist()))
         n = self.cfg.n_subcarriers
         return np.dot(ch.gains, self.tables.cells[rows]).reshape(n, n)
 

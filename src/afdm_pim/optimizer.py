@@ -191,17 +191,6 @@ def _class_objectives(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     return np.sum(ctx.term_weight * (1.0 - np.cos(delta_theta)), axis=2)
 
 
-def _pair_objectives(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
-    """Reduced objective of every Hamming-2 pair, batched over alphabets.
-
-    values: (..., lambda). Returns (..., n_pairs): each pair takes its class's
-    value from `_class_objectives`.
-    """
-    values = np.asarray(values, dtype=float)
-    out = _class_objectives(values, ctx)[:, ctx.pair_class]
-    return out[0] if values.ndim == 1 else out
-
-
 def reduced_objective(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]) -> float:
     """Pairwise distance surrogate: sum over placements, paths, and rows of
     1 - cos(theta'_n - theta_n) for one Hamming-2 pattern pair."""

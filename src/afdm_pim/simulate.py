@@ -304,17 +304,6 @@ def make_preset(name: str, seed: int | None = None) -> Scenario:
     return scenario
 
 
-def run_scenario_preset(name: str, seed: int | None = None) -> str:
-    """Run a named preset and return its CSV text."""
-    import io
-
-    scenario = make_preset(name, seed)
-    points = run_scenario(scenario)
-    buf = io.StringIO()
-    write_csv(points, scenario.name, scenario.seed, buf)
-    return buf.getvalue()
-
-
 # --- scenario assembly from configuration files ----------------------------
 
 

@@ -8,20 +8,28 @@ from .config import SystemConfig
 from .mapping import PreChirpAlphabet, PreChirpPatternGroup
 
 
+def chirp_basis(n: int, c1: float, c2: float | np.ndarray) -> np.ndarray:
+    """The N chirp subcarriers (N, N) as rows: row m is
+    e^{i2pi(c2[m] m^2 + m k / N + c1 k^2)} / sqrt(N) over the samples k.
+
+    c2 is one pre-chirp for every subcarrier or one value per subcarrier.
+    """
+    m = np.arange(n)
+    pre = np.exp(2j * np.pi * c2 * m**2)
+    idft = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
+    post = np.exp(2j * np.pi * c1 * m**2)
+    return pre[:, None] * idft * post
+
+
 def build_daft(
     cfg: SystemConfig, alphabet: PreChirpAlphabet, pcpg: PreChirpPatternGroup
 ) -> np.ndarray:
     """The forward transform A = Lambda_c2 @ F @ Lambda_c1 (N, N) for one frame's
-    pre-chirp pattern."""
+    pre-chirp pattern: the conjugate of its `chirp_basis`."""
     n = cfg.n_subcarriers
     if len(pcpg.assignment) != n:
         raise ValueError("pattern length does not match n_subcarriers")
-    idx = np.arange(n)
-    c2 = pcpg.values(alphabet)
-    pre = np.diag(np.exp(-2j * np.pi * c2 * idx**2))
-    post = np.diag(np.exp(-2j * np.pi * cfg.post_chirp * idx**2))
-    dft = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-    return pre @ dft @ post
+    return chirp_basis(n, cfg.post_chirp, pcpg.values(alphabet)).conj()
 
 
 def modulate(
@@ -88,7 +96,6 @@ def subcarrier_inner_product(
     """
     if not (0 <= m1 < n and 0 <= m2 < n):
         raise ValueError("subcarrier indices must lie in [0, N)")
-    samples = np.arange(n)
-    phi_a = np.exp(2j * np.pi * (c1 * samples**2 + c2_a * m1**2 + m1 * samples / n)) / np.sqrt(n)
-    phi_b = np.exp(2j * np.pi * (c1 * samples**2 + c2_b * m2**2 + m2 * samples / n)) / np.sqrt(n)
-    return complex(np.sum(phi_a * np.conj(phi_b)))
+    phi_a = chirp_basis(n, c1, c2_a)[m1]
+    phi_b = chirp_basis(n, c1, c2_b)[m2]
+    return complex(np.vdot(phi_b, phi_a))

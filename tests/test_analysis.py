@@ -169,17 +169,17 @@ def test_diversity_scan_skips_supports_that_hold_a_scanned_cell(monkeypatch):
 
 def test_full_diversity_condition_examples():
     cfg_ok = SystemConfig(n_subcarriers=6, n_groups=2, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1)
-    rep = check_full_diversity_conditions(cfg_ok, AL2, 3)
+    rep = check_full_diversity_conditions(cfg_ok, 3)
     assert rep.condition1 and rep.paths_within_capacity and rep.capacity_within_frame
     assert rep.placement_capacity == 6
 
     cfg_paths = SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=0, max_doppler=1)
-    rep2 = check_full_diversity_conditions(cfg_paths, AL2, 4)
+    rep2 = check_full_diversity_conditions(cfg_paths, 4)
     assert not rep2.paths_within_capacity and rep2.capacity_within_frame
     assert not rep2.condition1
 
     cfg_frame = SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=2, max_doppler=2, cpp_length=2)
-    rep3 = check_full_diversity_conditions(cfg_frame, AL2, 3)
+    rep3 = check_full_diversity_conditions(cfg_frame, 3)
     assert rep3.paths_within_capacity and not rep3.capacity_within_frame
     assert not rep3.condition1
     assert "assumed" in rep3.condition2_note

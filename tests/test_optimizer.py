@@ -123,16 +123,17 @@ def test_batched_pair_objectives_match_reduced_objective(cfg, p_paths):
     lam = cfg.alphabet_size
     rng = RandomSource(29).generator()
     alphabets = np.vstack([np.sort(rng.uniform(0.0, 1.0, (8, lam)), axis=1), uniform_heuristic(lam)])
-    batched = optimizer._pair_objectives(alphabets, ctx)
+    batched = optimizer._class_objectives(alphabets, ctx)[:, ctx.pair_class]
     for values, scores in zip(alphabets, batched):
         oracle = np.array([reduced_objective(values, ctx, pair) for pair in ctx.pairs])
-        for route in (scores, optimizer._pair_objectives(values, ctx)):
+        single = optimizer._class_objectives(values, ctx)[0, ctx.pair_class]
+        for route in (scores, single):
             assert np.array_equal(route == 0.0, oracle == 0.0)
             assert np.all(np.abs(route - oracle) <= 1e-12 * oracle)
         best = min_pair_objective(values, ctx)
         assert abs(best - oracle.min()) <= 1e-12 * oracle.min()
         # every class holds a pair: its minimum over classes is the same float
-        assert best == min(optimizer._pair_objectives(values, ctx))
+        assert best == min(single)
     assert np.array_equal(
         optimizer._class_objectives(alphabets, ctx).min(axis=1), batched.min(axis=1)
     )

@@ -328,17 +328,6 @@ def test_interrupt_between_points_keeps_finished_points_once(monkeypatch):
     assert run_ber_sweep(_tiny(snr=(0.0, 10.0), min_bits=3_000)) == full[:1]
 
 
-def test_run_scenario_preset_returns_csv():
-    from afdm_pim.simulate import run_scenario_preset
-
-    text = run_scenario_preset("fig8_lo", seed=5)
-    lines = text.splitlines()
-    assert lines[0] == "scheme,snr_db,kind,bits,errors,ber,seed"
-    kinds = {row.split(",")[2] for row in lines[1:]}
-    assert kinds == {"simulation", "theory"}
-    assert all(row.startswith("fig8_lo,") for row in lines[1:])
-
-
 def test_alphabet_file_reference(tmp_path):
     from afdm_pim.mapping import save_alphabet
 

@@ -172,18 +172,3 @@ def test_subcarrier_orthogonality_examples():
     assert abs(abs(ip) - 1.0) < 1e-10
     assert abs(subcarrier_inner_product(3, 5, 0.2, 0.6, 3 / 16, 8)) < 1e-10
     assert abs(subcarrier_inner_product(0, 1, 0.41, 0.41, 1 / 8, 4)) < 1e-10
-
-
-def test_subcarrier_orthogonality_grid():
-    values = (0.20, 0.60, 0.29, 0.62, 0.93, 0.01, 0.41, 0.80)
-    for n in (4, 8, 16):
-        c1 = 3 / (2 * n)
-        for va in values[:4]:
-            for vb in values[:4]:
-                for m1 in range(n):
-                    for m2 in range(n):
-                        ip = subcarrier_inner_product(m1, m2, va, vb, c1, n)
-                        if m1 == m2:
-                            assert abs(abs(ip) - 1.0) < 1e-10
-                        else:
-                            assert abs(ip) < 1e-10
