@@ -4,8 +4,6 @@ from .analysis import diversity_order, spectral_efficiency
 from .channel import (
     ChannelRealization,
     apply_channel_time,
-    build_effective_analytic,
-    build_effective_matrix,
     enumerate_placements,
     sample_channel,
 )
@@ -25,12 +23,6 @@ from .simulate import (
     run_ber_sweep,
     theory_points,
 )
-from .transceiver import (
-    add_cpp,
-    build_daft,
-    modulate,
-    remove_cpp,
-    subcarrier_inner_product,
-)
+from .transceiver import add_cpp, build_daft, modulate, remove_cpp
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Doubly dispersive channel: sampling, time-domain application, effective matrices."""
+"""Doubly dispersive channel: sampling, time-domain application, per-path operators."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .config import SystemConfig
-from .mapping import PreChirpAlphabet, PreChirpPatternGroup
-from .transceiver import build_daft
 
 _LOC_INT_TOL = 1e-9
 
@@ -39,27 +37,6 @@ class ChannelRealization:
     def geometry(self) -> tuple[tuple[int, int], ...]:
         """The (delay, Doppler) cell of each path."""
         return tuple((int(d), int(a)) for d, a in zip(self.delays, self.dopplers))
-
-
-def channel_to_text(ch: ChannelRealization) -> str:
-    """Serialize as P lines: re(h) im(h) delay doppler."""
-    lines = [
-        f"{h.real:.17g} {h.imag:.17g} {int(d)} {int(a)}"
-        for h, d, a in zip(ch.gains, ch.delays, ch.dopplers)
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def channel_from_text(text: str) -> ChannelRealization:
-    gains, delays, dopplers = [], [], []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        re_h, im_h, d, a = line.split()
-        gains.append(complex(float(re_h), float(im_h)))
-        delays.append(int(d))
-        dopplers.append(int(a))
-    return ChannelRealization(np.array(gains), np.array(delays), np.array(dopplers))
 
 
 def draw_paths(
@@ -172,15 +149,6 @@ def path_offset(cfg: SystemConfig, delay: int, doppler: int) -> int:
     return (doppler + round(step)) % n
 
 
-@dataclass(frozen=True, eq=False)
-class EffectiveChannel:
-    """Chirp-domain channel: the summed matrix plus unit-gain per-path factors."""
-
-    matrix: np.ndarray  # (N, N) complex
-    per_path: tuple[np.ndarray, ...]  # unit-gain H_p, (N, N) each
-    offsets: tuple[int, ...] | None  # per-path cyclic offsets, when defined
-
-
 def cpp_phase_profile(cfg: SystemConfig, delay: int) -> np.ndarray:
     """Prefix correction omega_{p,n}: phase for n < d_p, one elsewhere."""
     n = cfg.n_subcarriers
@@ -211,77 +179,6 @@ def time_domain_operator(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarra
     for h, d, a in zip(ch.gains, ch.delays, ch.dopplers):
         out += h * path_time_operator(cfg, int(d), int(a))
     return out
-
-
-def _offsets_or_none(cfg: SystemConfig, ch: ChannelRealization) -> tuple[int, ...] | None:
-    try:
-        return tuple(path_offset(cfg, int(d), int(a)) for d, a in zip(ch.delays, ch.dopplers))
-    except ValueError:
-        return None
-
-
-def build_effective_matrix(
-    ch: ChannelRealization,
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    pcpg: PreChirpPatternGroup,
-) -> EffectiveChannel:
-    """Operator-product construction: H_p = A Gamma Delta Pi^d A^H per path."""
-    a_mat = build_daft(cfg, alphabet, pcpg)
-    a_h = a_mat.conj().T
-    per_path = []
-    for d, alpha in zip(ch.delays, ch.dopplers):
-        per_path.append(a_mat @ path_time_operator(cfg, int(d), int(alpha)) @ a_h)
-    matrix = sum(h * hp for h, hp in zip(ch.gains, per_path))
-    return EffectiveChannel(
-        matrix=matrix, per_path=tuple(per_path), offsets=_offsets_or_none(cfg, ch)
-    )
-
-
-def path_chirp_entries(
-    cfg: SystemConfig, c2: np.ndarray, delay: int, doppler: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form unit-gain chirp-domain H_p under per-subcarrier pre-chirps c2:
-    row n holds one unit-modulus entry, at column (n + path offset) mod N.
-
-    Returns the column and the entry of every row.
-    """
-    n = cfg.n_subcarriers
-    loc = path_offset(cfg, delay, doppler)
-    row = np.arange(n)
-    col = (row + loc) % n
-    phase = np.exp(
-        2j
-        * np.pi
-        * (
-            c2[col] * col**2
-            - c2[row] * row**2
-            + cfg.post_chirp * delay**2
-            - col * delay / n
-        )
-    )
-    return col, phase
-
-
-def build_effective_analytic(
-    ch: ChannelRealization,
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    pcpg: PreChirpPatternGroup,
-) -> EffectiveChannel:
-    """Closed-form sparse construction of the chirp-domain channel."""
-    n = cfg.n_subcarriers
-    c2 = pcpg.values(alphabet)
-    per_path = []
-    for d, alpha in zip(ch.delays, ch.dopplers):
-        col, phase = path_chirp_entries(cfg, c2, int(d), int(alpha))
-        h_p = np.zeros((n, n), dtype=complex)
-        h_p[np.arange(n), col] = phase
-        per_path.append(h_p)
-    matrix = sum(h * hp for h, hp in zip(ch.gains, per_path))
-    return EffectiveChannel(
-        matrix=matrix, per_path=tuple(per_path), offsets=_offsets_or_none(cfg, ch)
-    )
 
 
 def delay_doppler_cells(cfg: SystemConfig) -> tuple[tuple[int, int], ...]:

@@ -5,12 +5,10 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-SPEED_OF_LIGHT = 3.0e8  # m/s
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -20,14 +18,6 @@ def default_c1(n_subcarriers: int, max_doppler: int) -> float:
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
     return (2 * max_doppler + 1) / (2 * n_subcarriers)
-
-
-def normalized_doppler_from_speed(
-    speed_kmh: float, carrier_hz: float, subcarrier_spacing_hz: float
-) -> float:
-    """Maximum normalized Doppler shift v_e*f_c/(c*f_s) for a mobile at speed_kmh."""
-    speed_ms = speed_kmh / 3.6
-    return speed_ms * carrier_hz / (SPEED_OF_LIGHT * subcarrier_spacing_hz)
 
 
 @dataclass(frozen=True)
@@ -74,6 +64,9 @@ class SystemConfig:
             raise ValueError(
                 f"cpp_length={self.cpp_length} shorter than max_delay={self.max_delay}"
             )
+        if self.cpp_length > n:
+            # the chirp-periodic prefix extends the frame by at most one period
+            raise ValueError(f"cpp_length={self.cpp_length} longer than n_subcarriers={n}")
         if self.post_chirp is None:
             object.__setattr__(
                 self, "post_chirp", default_c1(n, self.max_doppler)
@@ -102,15 +95,6 @@ class SystemConfig:
         """Whether the delay-Doppler grid fits in one frame (capacity <= N)."""
         return self.placement_capacity <= self.n_subcarriers
 
-    @property
-    def uses_default_post_chirp(self) -> bool:
-        return self.post_chirp == default_c1(self.n_subcarriers, self.max_doppler)
-
-
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Re-run all construction-time checks and return the validated config."""
-    return replace(cfg)
-
 
 def _gray(k: int) -> int:
     return k ^ (k >> 1)
@@ -130,11 +114,6 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
-
-    def labels_from_points(self, symbols: np.ndarray) -> np.ndarray:
-        """Nearest-point decision, returning integer labels."""
-        d = np.abs(np.asarray(symbols)[..., None] - self.points)
-        return np.argmin(d, axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -149,8 +149,10 @@ def path_image_tensor(
     the distances the ML metric sees, for any pair of codewords (including
     pairs whose pre-chirp patterns differ). They are the sums of
     `factor_tables` cell images that `MLDetector` scores; a path outside the
-    delay-Doppler grid raises ValueError.
+    delay-Doppler grid, or an empty placement, raises ValueError.
     """
+    if len(geometry) == 0:
+        raise ValueError("the empty placement () holds no path")
     t = factor_tables(cfg, alphabet)
     n = cfg.n_subcarriers
     images = t.cells[t.cell_rows(geometry)].reshape(-1, n, n)

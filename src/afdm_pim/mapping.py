@@ -153,20 +153,6 @@ def index_bits_to_group_pattern(
     return codebook[bits_to_int(bits)]
 
 
-def group_pattern_to_index_bits(
-    pattern: Sequence[int], alphabet_size: int, group_size: int
-) -> np.ndarray:
-    """Inverse of index_bits_to_group_pattern; rejects illegitimate patterns."""
-    codebook = group_pattern_codebook(alphabet_size, group_size)
-    pattern = tuple(pattern)
-    if sorted(pattern) != list(range(group_size)):
-        raise ValueError(f"group pattern {pattern} is not a permutation")
-    if pattern not in codebook:
-        raise ValueError(f"group pattern {pattern} is outside the codebook")
-    b2 = index_bits_per_group(alphabet_size, group_size)
-    return int_to_bits(codebook.index(pattern), b2)
-
-
 def bits_to_frame(
     payload: Sequence[int], cfg: SystemConfig, alphabet: PreChirpAlphabet
 ) -> Frame:
@@ -193,26 +179,6 @@ def bits_to_frame(
             assignment.extend(index_bits_to_group_pattern(chunk[b1:], cfg.alphabet_size, n_c))
     pcpg = PreChirpPatternGroup(assignment=tuple(assignment), group_size=n_c)
     return Frame(payload_bits=payload, symbols=symbols, pcpg=pcpg)
-
-
-def frame_to_bits(
-    frame: Frame, cfg: SystemConfig, alphabet: PreChirpAlphabet
-) -> np.ndarray:
-    """Recover the payload bits of a legitimate frame (exact inverse of bits_to_frame)."""
-    const = constellation_for(cfg)
-    n_c, k = cfg.group_size, cfg.bits_per_symbol
-    labels = const.labels_from_points(frame.symbols)
-    out: list[np.ndarray] = []
-    for g in range(cfg.n_groups):
-        for m in range(n_c):
-            out.append(int_to_bits(int(labels[g * n_c + m]), k))
-        pattern = frame.pcpg.assignment[g * n_c : (g + 1) * n_c]
-        if cfg.alphabet_size == 1:
-            if any(p != 0 for p in pattern):
-                raise ValueError("single-value alphabet admits only the all-zero pattern")
-        else:
-            out.append(group_pattern_to_index_bits(pattern, cfg.alphabet_size, n_c))
-    return np.concatenate(out).astype(np.int8)
 
 
 def codeword_count(cfg: SystemConfig) -> int:

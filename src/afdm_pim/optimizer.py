@@ -8,9 +8,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .channel import enumerate_placements, path_chirp_entries, path_offset
+from .channel import enumerate_placements, path_offset
 from .config import SystemConfig, constellation_for
-from .mapping import PreChirpAlphabet, codeword_count, group_pattern_codebook
+from .mapping import PreChirpAlphabet, group_pattern_codebook
 
 _BATCH_ELEMENTS = 1 << 24  # cap on the broadcast tensor size per collision-score chunk
 
@@ -199,73 +199,6 @@ def reduced_objective(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]) ->
     diff = vals[ctx.patterns[k]] - vals[ctx.patterns[j]]  # (N,)
     delta_theta = 2 * np.pi * (diff[ctx.col_index] * ctx.col_sq - diff * ctx.row_sq)
     return float(np.sum(1.0 - np.cos(delta_theta)))
-
-
-def _all_symbol_vectors(cfg: SystemConfig) -> np.ndarray:
-    const = constellation_for(cfg)
-    m, n = const.order, cfg.n_subcarriers
-    count = m**n
-    idx = np.arange(count)
-    digits = (idx[:, None] // m ** np.arange(n - 1, -1, -1)[None, :]) % m
-    return const.points[digits]
-
-
-def _pattern_phi(
-    values: np.ndarray, pattern: np.ndarray, symbols: np.ndarray, geometry, cfg
-) -> np.ndarray:
-    """Codeword-channel columns (C, N, P) of symbol vectors under one pattern:
-    entry [c, n, p] is (H_p x_c)[n] for the unit-gain path at geometry[p]."""
-    c2 = values[pattern]
-    out = np.empty(symbols.shape + (len(geometry),), dtype=complex)
-    for p, (d, a) in enumerate(geometry):
-        col, phase = path_chirp_entries(cfg, c2, d, a)
-        out[:, :, p] = phase * symbols[:, col]
-    return out
-
-
-def brute_objective(
-    alphabet,
-    ctx: ObjectiveContext,
-    pair: tuple[int, int],
-) -> float:
-    """Aggregate squared distance between the two patterns' codeword-channel
-    matrices, summed over ALL ordered symbol-vector pairs and placements.
-
-    Oracle-grade: builds the matrices explicitly and accumulates Frobenius
-    norms row by row; no cancellation argument is used.
-    """
-    j, k = _check_pair(ctx, pair)
-    cfg = ctx.cfg
-    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
-    vals = _values_of(alphabet)
-    symbols = _all_symbol_vectors(cfg)
-    total = 0.0
-    for geometry in ctx.placements:
-        phi_k = _pattern_phi(vals, ctx.patterns[k], symbols, geometry, cfg)
-        phi_j = _pattern_phi(vals, ctx.patterns[j], symbols, geometry, cfg)
-        for idx in range(symbols.shape[0]):
-            delta = phi_k[idx][None, :, :] - phi_j
-            total += float(np.sum(np.abs(delta) ** 2))
-    return total
-
-
-def brute_objective_equal_symbols(
-    alphabet,
-    ctx: ObjectiveContext,
-    pair: tuple[int, int],
-) -> float:
-    """Same aggregate distance restricted to pairs sharing the symbol vector."""
-    j, k = _check_pair(ctx, pair)
-    cfg = ctx.cfg
-    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
-    vals = _values_of(alphabet)
-    symbols = _all_symbol_vectors(cfg)
-    total = 0.0
-    for geometry in ctx.placements:
-        phi_k = _pattern_phi(vals, ctx.patterns[k], symbols, geometry, cfg)
-        phi_j = _pattern_phi(vals, ctx.patterns[j], symbols, geometry, cfg)
-        total += float(np.sum(np.abs(phi_k - phi_j) ** 2))
-    return total
 
 
 def _collision_scores(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Self-contained numeric invariant suites behind the `validate` subcommand."""
+"""Numeric invariant suites behind the `validate` subcommand, and the slow
+oracles they hold the program to: the dense and closed-form effective channels
+and the brute-force pattern-pair objectives."""
 
 from __future__ import annotations
 
@@ -7,16 +9,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    ChannelRealization,
     apply_channel_time,
-    build_effective_analytic,
-    build_effective_matrix,
+    path_offset,
+    path_time_operator,
     sample_channel,
 )
-from .config import RandomSource, SystemConfig
-from .mapping import PreChirpAlphabet, bits_to_frame, frame_bit_count
+from .config import RandomSource, SystemConfig, constellation_for
+from .mapping import (
+    PreChirpAlphabet,
+    PreChirpPatternGroup,
+    bits_to_frame,
+    codeword_count,
+    frame_bit_count,
+)
 from .optimizer import (
-    brute_objective,
-    brute_objective_equal_symbols,
+    ObjectiveContext,
+    _check_pair,
+    _values_of,
     build_objective_context,
     reduced_objective,
 )
@@ -61,6 +71,74 @@ def orthogonality_suite() -> list[CheckResult]:
             )
         )
     return results
+
+
+@dataclass(frozen=True, eq=False)
+class EffectiveChannel:
+    """Chirp-domain channel: the summed matrix plus unit-gain per-path factors."""
+
+    matrix: np.ndarray  # (N, N) complex
+    per_path: tuple[np.ndarray, ...]  # unit-gain H_p, (N, N) each
+
+
+def build_effective_matrix(
+    ch: ChannelRealization,
+    cfg: SystemConfig,
+    alphabet: PreChirpAlphabet,
+    pcpg: PreChirpPatternGroup,
+) -> EffectiveChannel:
+    """Operator-product construction: H_p = A Gamma Delta Pi^d A^H per path."""
+    a_mat = build_daft(cfg, alphabet, pcpg)
+    a_h = a_mat.conj().T
+    per_path = []
+    for d, alpha in zip(ch.delays, ch.dopplers):
+        per_path.append(a_mat @ path_time_operator(cfg, int(d), int(alpha)) @ a_h)
+    matrix = sum(h * hp for h, hp in zip(ch.gains, per_path))
+    return EffectiveChannel(matrix=matrix, per_path=tuple(per_path))
+
+
+def path_chirp_entries(
+    cfg: SystemConfig, c2: np.ndarray, delay: int, doppler: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form unit-gain chirp-domain H_p under per-subcarrier pre-chirps c2:
+    row n holds one unit-modulus entry, at column (n + path offset) mod N.
+
+    Returns the column and the entry of every row.
+    """
+    n = cfg.n_subcarriers
+    loc = path_offset(cfg, delay, doppler)
+    row = np.arange(n)
+    col = (row + loc) % n
+    phase = np.exp(
+        2j
+        * np.pi
+        * (
+            c2[col] * col**2
+            - c2[row] * row**2
+            + cfg.post_chirp * delay**2
+            - col * delay / n
+        )
+    )
+    return col, phase
+
+
+def build_effective_analytic(
+    ch: ChannelRealization,
+    cfg: SystemConfig,
+    alphabet: PreChirpAlphabet,
+    pcpg: PreChirpPatternGroup,
+) -> EffectiveChannel:
+    """Closed-form sparse construction of the chirp-domain channel."""
+    n = cfg.n_subcarriers
+    c2 = pcpg.values(alphabet)
+    per_path = []
+    for d, alpha in zip(ch.delays, ch.dopplers):
+        col, phase = path_chirp_entries(cfg, c2, int(d), int(alpha))
+        h_p = np.zeros((n, n), dtype=complex)
+        h_p[np.arange(n), col] = phase
+        per_path.append(h_p)
+    matrix = sum(h * hp for h, hp in zip(ch.gains, per_path))
+    return EffectiveChannel(matrix=matrix, per_path=tuple(per_path))
 
 
 def channel_suite() -> list[CheckResult]:
@@ -109,6 +187,73 @@ def channel_suite() -> list[CheckResult]:
             detail=f"max deviation from H_eff x: {worst_pipeline:.2e}",
         ),
     ]
+
+
+def _all_symbol_vectors(cfg: SystemConfig) -> np.ndarray:
+    const = constellation_for(cfg)
+    m, n = const.order, cfg.n_subcarriers
+    count = m**n
+    idx = np.arange(count)
+    digits = (idx[:, None] // m ** np.arange(n - 1, -1, -1)[None, :]) % m
+    return const.points[digits]
+
+
+def _pattern_phi(
+    values: np.ndarray, pattern: np.ndarray, symbols: np.ndarray, geometry, cfg
+) -> np.ndarray:
+    """Codeword-channel columns (C, N, P) of symbol vectors under one pattern:
+    entry [c, n, p] is (H_p x_c)[n] for the unit-gain path at geometry[p]."""
+    c2 = values[pattern]
+    out = np.empty(symbols.shape + (len(geometry),), dtype=complex)
+    for p, (d, a) in enumerate(geometry):
+        col, phase = path_chirp_entries(cfg, c2, d, a)
+        out[:, :, p] = phase * symbols[:, col]
+    return out
+
+
+def brute_objective(
+    alphabet,
+    ctx: ObjectiveContext,
+    pair: tuple[int, int],
+) -> float:
+    """Aggregate squared distance between the two patterns' codeword-channel
+    matrices, summed over ALL ordered symbol-vector pairs and placements.
+
+    Oracle-grade: builds the matrices explicitly and accumulates Frobenius
+    norms row by row; no cancellation argument is used.
+    """
+    j, k = _check_pair(ctx, pair)
+    cfg = ctx.cfg
+    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
+    vals = _values_of(alphabet)
+    symbols = _all_symbol_vectors(cfg)
+    total = 0.0
+    for geometry in ctx.placements:
+        phi_k = _pattern_phi(vals, ctx.patterns[k], symbols, geometry, cfg)
+        phi_j = _pattern_phi(vals, ctx.patterns[j], symbols, geometry, cfg)
+        for idx in range(symbols.shape[0]):
+            delta = phi_k[idx][None, :, :] - phi_j
+            total += float(np.sum(np.abs(delta) ** 2))
+    return total
+
+
+def brute_objective_equal_symbols(
+    alphabet,
+    ctx: ObjectiveContext,
+    pair: tuple[int, int],
+) -> float:
+    """Same aggregate distance restricted to pairs sharing the symbol vector."""
+    j, k = _check_pair(ctx, pair)
+    cfg = ctx.cfg
+    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
+    vals = _values_of(alphabet)
+    symbols = _all_symbol_vectors(cfg)
+    total = 0.0
+    for geometry in ctx.placements:
+        phi_k = _pattern_phi(vals, ctx.patterns[k], symbols, geometry, cfg)
+        phi_j = _pattern_phi(vals, ctx.patterns[j], symbols, geometry, cfg)
+        total += float(np.sum(np.abs(phi_k - phi_j) ** 2))
+    return total
 
 
 def reduction_suite() -> list[CheckResult]:

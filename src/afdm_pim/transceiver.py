@@ -46,20 +46,6 @@ def modulate(
     return a.conj().T @ x
 
 
-def demodulate(
-    r: np.ndarray,
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    pcpg_hypothesis: PreChirpPatternGroup,
-) -> np.ndarray:
-    """Chirp-domain samples y = A(pattern hypothesis) r."""
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (cfg.n_subcarriers,):
-        raise ValueError(f"r must have length {cfg.n_subcarriers}")
-    a = build_daft(cfg, alphabet, pcpg_hypothesis)
-    return a @ r
-
-
 def add_cpp(s: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Prepend the chirp-periodic prefix: s[n] = s[N+n] e^{-j2pi c1 (N^2+2Nn)}, n<0.
 
@@ -84,18 +70,3 @@ def remove_cpp(r: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     if r.shape != (n + l_cp,):
         raise ValueError(f"expected a prefixed frame of length {n + l_cp}")
     return r[l_cp:].copy()
-
-
-def subcarrier_inner_product(
-    m1: int, m2: int, c2_a: float, c2_b: float, c1: float, n: int
-) -> complex:
-    """Inner product of two chirp subcarriers carrying pre-chirps c2_a and c2_b.
-
-    Off-diagonal pairs vanish; equal indices give a unit-modulus value whose
-    phase carries the pre-chirp difference.
-    """
-    if not (0 <= m1 < n and 0 <= m2 < n):
-        raise ValueError("subcarrier indices must lie in [0, N)")
-    phi_a = chirp_basis(n, c1, c2_a)[m1]
-    phi_b = chirp_basis(n, c1, c2_b)[m2]
-    return complex(np.vdot(phi_b, phi_a))

@@ -139,6 +139,10 @@ def test_abep_requires_positive_noise_and_geometries():
         abep_curve(BPSK42, AL2, _geoms42(), [0.0])
     with pytest.raises(ValueError, match="placement"):
         abep_curve(BPSK42, AL2, [], [0.1])
+    with pytest.raises(ValueError, match=r"empty placement \(\)"):
+        abep_curve(BPSK42, AL2, [()], [0.1])
+    with pytest.raises(ValueError, match=r"empty placement \(\)"):
+        diversity_order(BPSK42, AL2, [()])
 
 
 def test_diversity_order_single_path():

@@ -4,10 +4,6 @@ import pytest
 from afdm_pim.channel import (
     ChannelRealization,
     apply_channel_time,
-    build_effective_analytic,
-    build_effective_matrix,
-    channel_from_text,
-    channel_to_text,
     delay_doppler_cells,
     draw_paths,
     enumerate_placements,
@@ -16,7 +12,8 @@ from afdm_pim.channel import (
     time_domain_operator,
 )
 from afdm_pim.config import RandomSource, SystemConfig
-from afdm_pim.mapping import PreChirpAlphabet, bits_to_frame, frame_bit_count
+from afdm_pim.mapping import PreChirpAlphabet, PreChirpPatternGroup, bits_to_frame, frame_bit_count
+from afdm_pim.suites import build_effective_analytic, build_effective_matrix
 from afdm_pim.transceiver import add_cpp, modulate, remove_cpp
 
 AL4 = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
@@ -100,7 +97,8 @@ def test_per_path_structure_single_unit_entry_per_row():
     frame = _frame(rng)
     ch = sample_channel(CFG, 3, rng)
     eff = build_effective_analytic(ch, CFG, AL4, frame.pcpg)
-    for h_p, loc in zip(eff.per_path, eff.offsets):
+    for h_p, (d, a) in zip(eff.per_path, ch.geometry):
+        loc = path_offset(CFG, d, a)
         nz = np.abs(h_p) > 1e-12
         assert np.all(nz.sum(axis=1) == 1)
         rows = np.arange(8)
@@ -119,7 +117,7 @@ def test_effective_matrix_frobenius_tracks_gains():
         dopplers=np.array([0, 1, -1]),
     )
     eff = build_effective_analytic(ch, CFG, AL4, frame.pcpg)
-    assert len(set(eff.offsets)) == 3
+    assert len({path_offset(CFG, d, a) for d, a in ch.geometry}) == 3
     expected = np.sum(np.abs(ch.gains) ** 2) * 8
     assert np.linalg.norm(eff.matrix, "fro") ** 2 == pytest.approx(expected)
 
@@ -146,7 +144,7 @@ def test_awgn_variance():
 
 
 def test_negative_delay_is_rejected():
-    ch = channel_from_text("1 0 -1 0\n")
+    ch = ChannelRealization(np.array([1.0 + 0j]), np.array([-1]), np.array([0]))
     with pytest.raises(ValueError, match="non-negative"):
         apply_channel_time(np.zeros(10, dtype=complex), ch, CFG, None, 0.0)
 
@@ -155,10 +153,10 @@ def test_negative_delay_is_rejected():
 def test_doppler_outside_the_bound_is_rejected(doppler):
     # on N = 4 a Doppler of 7 would alias onto -1, which is inside the bound
     cfg = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
-    ch = channel_from_text(f"1 0 0 {doppler}\n")
+    ch = ChannelRealization(np.array([1.0 + 0j]), np.array([0]), np.array([doppler]))
     with pytest.raises(ValueError, match="Dopplers"):
         apply_channel_time(np.zeros(4, dtype=complex), ch, cfg, None, 0.0)
-    edge = channel_from_text("1 0 0 1\n0 1 0 -1\n")
+    edge = ChannelRealization(np.array([1.0, 1j]), np.array([0, 0]), np.array([1, -1]))
     assert apply_channel_time(np.ones(4, dtype=complex), edge, cfg, None, 0.0).shape == (4,)
 
 
@@ -187,13 +185,14 @@ def test_enumerate_placements_counts():
 def test_effective_channel_regression_fixture():
     # frozen realization + entries, cross-validated once by the two builders;
     # guards the phase conventions against accidental drift
-    from afdm_pim.mapping import PreChirpPatternGroup
-
-    text = "0.6 -0.25 0 1\n-0.125 0.5 1 -1\n0.3 0.7 2 0\n"
-    ch = channel_from_text(text)
+    ch = ChannelRealization(
+        gains=np.array([0.6 - 0.25j, -0.125 + 0.5j, 0.3 + 0.7j]),
+        delays=np.array([0, 1, 2]),
+        dopplers=np.array([1, -1, 0]),
+    )
     pcpg = PreChirpPatternGroup(assignment=(0, 1, 2, 3, 3, 1, 0, 2), group_size=4)
     eff = build_effective_analytic(ch, CFG, AL4, pcpg)
-    assert eff.offsets == (1, 4, 2)
+    assert tuple(path_offset(CFG, d, a) for d, a in ch.geometry) == (1, 4, 2)
     expected = {
         (0, 1): 0.423174325698757 + 0.493379661183355j,
         (0, 4): 0.419774769865096 - 0.299021976758742j,
@@ -208,17 +207,4 @@ def test_effective_channel_regression_fixture():
 def test_zero_path_channel_is_rejected():
     with pytest.raises(ValueError, match="at least one path"):
         ChannelRealization(np.array([]), np.array([]), np.array([]))
-    with pytest.raises(ValueError, match="at least one path"):
-        channel_from_text("")
 
-
-def test_channel_text_roundtrip():
-    ch = ChannelRealization(
-        gains=np.array([0.25 - 0.5j, -1.0 + 0.125j]),
-        delays=np.array([0, 2]),
-        dopplers=np.array([-1, 1]),
-    )
-    back = channel_from_text(channel_to_text(ch))
-    assert np.array_equal(back.gains, ch.gains)
-    assert np.array_equal(back.delays, ch.delays)
-    assert np.array_equal(back.dopplers, ch.dopplers)

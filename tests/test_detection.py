@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from afdm_pim.analysis import abep_curve, diversity_order
+from afdm_pim import suites
 from afdm_pim.channel import (
     ChannelRealization,
     apply_channel_time,
-    build_effective_analytic,
-    build_effective_matrix,
     sample_channel,
     time_domain_operator,
 )
-from afdm_pim import optimizer
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import (
     MLDetector,
@@ -31,6 +29,7 @@ from afdm_pim.mapping import (
     int_to_bits,
 )
 from afdm_pim.simulate import make_preset, noise_variance_from_snr_db
+from afdm_pim.suites import build_effective_analytic, build_effective_matrix
 from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
 BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
@@ -60,6 +59,11 @@ CFG_G1 = SystemConfig(
 # with the default post-chirp and even N the prefix correction is 1; an
 # off-grid post-chirp makes its rows differ from the circular shift
 CFG8_OFF_GRID = replace(CFG8, post_chirp=0.17)
+# odd N: under the default post-chirp the correction is -1 on the head rows
+CFG3 = SystemConfig(
+    n_subcarriers=3, n_groups=1, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1
+)
+AL3 = PreChirpAlphabet((0.29, 0.62, 0.93))
 
 # (cfg, alphabet, geometry): each geometry puts two paths on one cell, and
 # where d_max > 0 a path at d_max, so the prefix-correction rows are used
@@ -73,6 +77,7 @@ GEOMETRY_CASES = [
     ),
     pytest.param(CFG_G3, AL2, [(1, 1), (1, 1), (0, -1)], id="three_groups"),
     pytest.param(CFG_G1, AL4, [(1, 1), (1, 1), (0, -1)], id="one_group"),
+    pytest.param(CFG3, AL3, [(1, 1), (1, 1), (0, -1)], id="odd_n"),
 ]
 
 # (cfg, alphabet, C_h, C_t): one config per kind of payload split
@@ -94,7 +99,7 @@ def exhaustive_search(r, ch, cfg, alphabet):
 
 def _phi(frame, geometry, cfg, alphabet):
     """Codeword-channel columns H_p x of one frame, gathered as the brute oracles do."""
-    return optimizer._pattern_phi(
+    return suites._pattern_phi(
         alphabet.array, np.asarray(frame.pcpg.assignment), frame.symbols[None, :], geometry, cfg
     )[0]
 
@@ -227,7 +232,11 @@ def test_detect_matches_exhaustive_operator_search(cfg, alphabet, geometry):
         )
         ch = ChannelRealization(gains, delays, dopplers)
         s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
-        r = remove_cpp(apply_channel_time(add_cpp(s, cfg), ch, cfg, rng, 0.3), cfg)
+        prefixed = add_cpp(s, cfg)
+        # the oracle's operator is the sample-level channel, prefix correction included
+        clean = remove_cpp(apply_channel_time(prefixed, ch, cfg, None, 0.0), cfg)
+        assert np.max(np.abs(time_domain_operator(ch, cfg) @ s - clean)) < 1e-10
+        r = remove_cpp(apply_channel_time(prefixed, ch, cfg, rng, 0.3), cfg)
         detected, metric = detector.detect(r, ch)
         expected, expected_metric = exhaustive_search(r, ch, cfg, alphabet)
         assert np.array_equal(detected, expected)

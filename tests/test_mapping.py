@@ -5,21 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afdm_pim import analysis, detection, optimizer, simulate
+from afdm_pim import analysis, detection, optimizer, simulate, suites
 from afdm_pim.config import SystemConfig
 from afdm_pim.mapping import (
     MAX_CODEWORDS,
     EnumerationCapExceeded,
     PreChirpAlphabet,
-    PreChirpPatternGroup,
     bits_to_frame,
     codeword_count,
     codeword_rows,
     codeword_table,
     enumerate_codewords,
     frame_bit_count,
-    frame_to_bits,
-    group_pattern_to_index_bits,
     index_bits_per_group,
     index_bits_to_group_pattern,
     int_to_bits,
@@ -59,7 +56,6 @@ def test_pattern_codebook_matches_published_table():
     for row, expected in enumerate(TABLE_ROWS):
         bits = int_to_bits(row, 4)
         assert index_bits_to_group_pattern(bits, 4, 4) == expected
-        assert np.array_equal(group_pattern_to_index_bits(expected, 4, 4), bits)
 
 
 def test_pattern_examples():
@@ -73,11 +69,6 @@ def test_pattern_mapping_rejections():
         index_bits_to_group_pattern([0, 0], 4, 2)
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
         codeword_table(SystemConfig(n_subcarriers=4, n_groups=1, alphabet_size=2))
-    with pytest.raises(ValueError, match="not a permutation"):
-        group_pattern_to_index_bits((1, 1, 0, 2), 4, 4)
-    # a valid permutation outside the first 2**b2 codewords
-    with pytest.raises(ValueError, match="outside the codebook"):
-        group_pattern_to_index_bits((2, 1, 0), 3, 3)
 
 
 def test_all_zero_payload():
@@ -88,12 +79,11 @@ def test_all_zero_payload():
 
 def test_roundtrip_exhaustive_and_distinct():
     seen = set()
-    for frame in enumerate_codewords(BPSK42, AL2):
+    for value, frame in enumerate(enumerate_codewords(BPSK42, AL2)):
         key = (tuple(np.round(frame.symbols.real, 9)), frame.pcpg.assignment)
         assert key not in seen
         seen.add(key)
-        back = frame_to_bits(frame, BPSK42, AL2)
-        assert np.array_equal(back, frame.payload_bits)
+        assert np.array_equal(frame.payload_bits, int_to_bits(value, 6))
     assert len(seen) == 64
 
 
@@ -125,12 +115,12 @@ GEOMETRY = [(0, 0), (1, -1)]
         pytest.param(lambda: simulate.theory_points(QAM27_SCENARIO), id="theory_points"),
         pytest.param(lambda: simulate.run_scenario(QAM27_SCENARIO), id="run_scenario"),
         # the pattern-pair context does not enumerate the codebook; its objectives do
-        pytest.param(optimizer.brute_objective, id="brute_objective"),
-        pytest.param(optimizer.brute_objective_equal_symbols, id="brute_objective_equal_symbols"),
+        pytest.param(suites.brute_objective, id="brute_objective"),
+        pytest.param(suites.brute_objective_equal_symbols, id="brute_objective_equal_symbols"),
     ],
 )
 def test_codebook_above_the_limit_is_refused_before_allocating(call):
-    if call in (optimizer.brute_objective, optimizer.brute_objective_equal_symbols):
+    if call in (suites.brute_objective, suites.brute_objective_equal_symbols):
         ctx, objective = optimizer.build_objective_context(QAM27, 2), call
         call = lambda: objective(AL2, ctx, ctx.pairs[0])  # noqa: E731
     limit = rf"2\^27 codewords exceed the enumeration limit {MAX_CODEWORDS}"
@@ -151,25 +141,29 @@ def test_wrong_payload_length_rejected():
         bits_to_frame(np.zeros(5, dtype=int), BPSK42, AL2)
 
 
-def test_illegal_pcpg_rejected_on_inverse():
-    frame = bits_to_frame(np.zeros(6, dtype=int), BPSK42, AL2)
-    bad = PreChirpPatternGroup(assignment=(1, 1, 0, 1), group_size=2)
-    frame.pcpg = bad
-    with pytest.raises(ValueError, match="not a permutation"):
-        frame_to_bits(frame, BPSK42, AL2)
+# QPSK on N = 8, G = 2, lambda = 4: B = 2 * (4 * 2 + 4) = 24 bits; both tests
+# below use the payload values 0 to 2^16 - 1
+QPSK8 = SystemConfig(
+    n_subcarriers=8, n_groups=2, alphabet_size=4, constellation_order=4, max_doppler=2
+)
+AL4 = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**16 - 1))
 def test_roundtrip_random_payload_qpsk(value):
-    cfg = SystemConfig(
-        n_subcarriers=8, n_groups=2, alphabet_size=4, constellation_order=4, max_doppler=2
-    )
-    alphabet = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
-    b = frame_bit_count(cfg)
-    payload = int_to_bits(value % 2**b, b)
-    frame = bits_to_frame(payload, cfg, alphabet)
-    assert np.array_equal(frame_to_bits(frame, cfg, alphabet), payload)
+    frame = bits_to_frame(int_to_bits(value, frame_bit_count(QPSK8)), QPSK8, AL4)
+    symbols, assignments = codeword_rows(QPSK8, np.array([value]))
+    assert np.array_equal(symbols[0], frame.symbols)
+    assert tuple(assignments[0]) == frame.pcpg.assignment
+
+
+def test_qpsk_codeword_rows_are_distinct():
+    # the payload -> (symbols, pattern) map is injective on those values
+    symbols, assignments = codeword_rows(QPSK8, np.arange(2**16))
+    labels = np.round(np.stack([symbols.real, symbols.imag], axis=-1), 9).reshape(2**16, -1)
+    rows = np.concatenate([labels, assignments], axis=1)
+    assert len(np.unique(rows, axis=0)) == 2**16
 
 
 def test_single_value_alphabet_collapses_index_bits():

@@ -8,9 +8,9 @@ from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import codeword_time_signals
 from afdm_pim.mapping import PreChirpAlphabet, codeword_rows
 from afdm_pim.simulate import make_preset
+from afdm_pim.suites import brute_objective_equal_symbols
 from afdm_pim.optimizer import (
     PsoParams,
-    brute_objective_equal_symbols,
     build_objective_context,
     collision_score,
     min_pair_objective,
