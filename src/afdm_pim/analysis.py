@@ -13,7 +13,6 @@ from .config import SystemConfig
 from .detection import Geometry, path_image_tensor
 from .mapping import (
     PreChirpAlphabet,
-    codeword_count,
     codeword_table,
     frame_bit_count,
     index_bits_per_group,
@@ -82,60 +81,22 @@ def _pair_chunks(count: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarra
         yield np.concatenate(buf_i), np.concatenate(buf_j)
 
 
-def _union_bound(
+def _pair_spectra(
     cfg: SystemConfig,
     alphabet: PreChirpAlphabet,
-    p_paths: int,
-    mixture: Sequence[tuple[Geometry, Sequence[int], float]],
-    n0_values: Sequence[float],
-) -> np.ndarray:
-    """Union-bound ABEP over a weighted mixture of path supports, for several n0.
+    support: Geometry,
+    scale: float | np.ndarray = 1.0,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Masked Gram eigenvalues of every unordered codeword pair on one support.
 
-    Each (support, multiplicities, weight) triple adds weight times the sum
-    over ordered codeword pairs of UPEP * bit errors. A support column's gain
-    variance is its multiplicity over P; it is absorbed into the Gram spectrum
-    so the error-probability products need no extra scale.
+    Yields (idx_i, idx_j, eigs) per `_pair_chunks` chunk, eigs (pairs, |support|)
+    being the spectrum of (phi[j] - phi[i]) * scale; scale weights the columns.
     """
-    n0 = np.asarray(n0_values, dtype=float)
-    if np.any(n0 <= 0):
-        raise ValueError("noise variances must be positive")
-    payload = codeword_table(cfg)
-    b_total = frame_bit_count(cfg)
-    acc = np.zeros(n0.shape, dtype=float)
-    for support, mult, weight in mixture:
-        phi = path_image_tensor(cfg, alphabet, support)
-        scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
-        pair_sum = np.zeros(n0.shape, dtype=float)
-        for idx_i, idx_j in _pair_chunks(phi.shape[0], _PAIR_CHUNK):
-            diff = (phi[idx_j] - phi[idx_i]) * scale[None, None, :]
-            psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
-            eigs = _masked_eigs(psi)
-            tau = np.count_nonzero(payload[idx_i] != payload[idx_j], axis=1)
-            ratio = eigs[None, :, :] / n0[:, None, None]
-            t1 = np.prod(1.0 / (1.0 + ratio / 4.0), axis=2)
-            t2 = np.prod(1.0 / (1.0 + ratio / 3.0), axis=2)
-            pair_sum += 2.0 * (t1 / 12.0 + t2 / 4.0) @ tau  # both orderings of each pair
-        acc += weight * pair_sum
-    bound = acc / (b_total * 2.0**b_total)
-    return np.clip(bound, 0.0, 1.0)
-
-
-def abep_curve(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    geometries: Sequence[Geometry],
-    n0_values: Sequence[float],
-) -> np.ndarray:
-    """Union-bound ABEP at several noise levels, averaged uniformly over the
-    supplied path placements; per-path gain variance is 1/P."""
-    if not geometries:
-        raise ValueError("at least one path placement is required")
-    p_paths = len(geometries[0])
-    if any(len(geometry) != p_paths for geometry in geometries):
-        raise ValueError("all placements must use the same number of paths")
-    weight = 1.0 / len(geometries)
-    mixture = [(geometry, (1,) * p_paths, weight) for geometry in geometries]
-    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values)
+    phi = path_image_tensor(cfg, alphabet, support)
+    for idx_i, idx_j in _pair_chunks(phi.shape[0], _PAIR_CHUNK):
+        diff = (phi[idx_j] - phi[idx_i]) * scale
+        psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
+        yield idx_i, idx_j, _masked_eigs(psi)
 
 
 # --- bound matched to the sampled channel law ------------------------------
@@ -195,12 +156,30 @@ def abep_curve_jakes(
 ) -> np.ndarray:
     """Union-bound ABEP averaged over the sampled channel's own geometry law.
 
-    Coincident paths merge into one column whose gain variance is the cell
-    multiplicity over P, exactly as their independent gains add in the
-    simulated channel. This is the curve comparable to Monte-Carlo BER.
+    Each reachable support adds its probability times the sum over ordered
+    codeword pairs of UPEP * bit errors. Coincident paths merge into one column
+    whose gain variance, the cell multiplicity over P, is absorbed into the Gram
+    spectrum, exactly as their independent gains add in the simulated channel.
+    This is the curve comparable to Monte-Carlo BER.
     """
-    mixture = jakes_geometry_mixture(cfg, p_paths)
-    return _union_bound(cfg, alphabet, p_paths, mixture, n0_values)
+    n0 = np.asarray(n0_values, dtype=float)
+    if np.any(n0 <= 0):
+        raise ValueError("noise variances must be positive")
+    payload = codeword_table(cfg)
+    b_total = frame_bit_count(cfg)
+    acc = np.zeros(n0.shape, dtype=float)
+    for support, mult, weight in jakes_geometry_mixture(cfg, p_paths):
+        scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
+        pair_sum = np.zeros(n0.shape, dtype=float)
+        for idx_i, idx_j, eigs in _pair_spectra(cfg, alphabet, support, scale):
+            tau = np.count_nonzero(payload[idx_i] != payload[idx_j], axis=1)
+            ratio = eigs[None, :, :] / n0[:, None, None]
+            t1 = np.prod(1.0 / (1.0 + ratio / 4.0), axis=2)
+            t2 = np.prod(1.0 / (1.0 + ratio / 3.0), axis=2)
+            pair_sum += 2.0 * (t1 / 12.0 + t2 / 4.0) @ tau  # both orderings of each pair
+        acc += weight * pair_sum
+    bound = acc / (b_total * 2.0**b_total)
+    return np.clip(bound, 0.0, 1.0)
 
 
 def diversity_order(
@@ -217,7 +196,6 @@ def diversity_order(
     at 0 has every pair differ in its column, so every support holding that
     cell has rank >= 1 and cannot lower the minimum; those are skipped.
     """
-    count = codeword_count(cfg)
     supports = dict.fromkeys(
         tuple(dict.fromkeys((int(d), int(a)) for d, a in geometry)) for geometry in geometries
     )
@@ -228,12 +206,8 @@ def diversity_order(
     for support in sorted(supports, key=len):
         if not scanned.isdisjoint(support):
             continue
-        phi = path_image_tensor(cfg, alphabet, support)
-        for idx_i, idx_j in _pair_chunks(count, _PAIR_CHUNK):
-            diff = phi[idx_j] - phi[idx_i]
-            psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
-            ranks = np.count_nonzero(_masked_eigs(psi) > 0.0, axis=1)
-            best = min(best, int(ranks.min()))
+        for _, _, eigs in _pair_spectra(cfg, alphabet, support):
+            best = min(best, int(np.count_nonzero(eigs, axis=1).min()))
             if best == 0:
                 return 0
         if len(support) == 1:

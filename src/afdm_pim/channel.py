@@ -30,10 +30,6 @@ class ChannelRealization:
             raise ValueError("a channel realization needs at least one path")
 
     @property
-    def n_paths(self) -> int:
-        return len(self.gains)
-
-    @property
     def geometry(self) -> tuple[tuple[int, int], ...]:
         """The (delay, Doppler) cell of each path."""
         return tuple((int(d), int(a)) for d, a in zip(self.delays, self.dopplers))

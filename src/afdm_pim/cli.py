@@ -6,6 +6,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import (
     check_full_diversity_conditions,
@@ -49,8 +50,6 @@ def _load_scenario(config_arg: str, seed_flag: int | None):
     scenario = scenario_from_sections(sections, name=os.path.basename(config_arg))
     seed = _resolve_seed(seed_flag, scenario.seed)
     if seed is not None and seed != scenario.seed:
-        from dataclasses import replace
-
         scenario = replace(scenario, seed=seed)
     return scenario
 
@@ -99,8 +98,6 @@ def _parse_pso_overrides(spec: str | None, base: PsoParams) -> PsoParams:
             raise ValueError(f"unknown pso parameter {key!r}; choices: {sorted(mapping)}")
         field, cast = mapping[key]
         kwargs[field] = cast(raw)
-    from dataclasses import replace
-
     return replace(base, **kwargs)
 
 

@@ -91,8 +91,8 @@ def noise_variance_from_snr_db(snr_db: float) -> float:
 
 
 class SweepInterrupted(KeyboardInterrupt):
-    """An interrupt ended `run_scenario` early; `points` holds the simulation
-    points accumulated until then, and no theory point."""
+    """An interrupt ended a sweep early; `points` holds the simulation points
+    accumulated until then, and no theory point."""
 
     def __init__(self, points: list[BerPoint]) -> None:
         super().__init__(f"interrupted after {len(points)} simulation points")
@@ -104,14 +104,10 @@ def run_ber_sweep(scenario: Scenario) -> list[BerPoint]:
 
     Each frame sees a fresh channel realization (block fading). All draws
     come from streams keyed by (seed, point index, chunk index), so the
-    output is a pure function of the scenario. An interrupt returns the
-    points finished so far plus the partially accumulated one.
+    output is a pure function of the scenario. An interrupt raises
+    `SweepInterrupted` carrying the points finished so far plus the partially
+    accumulated one.
     """
-    return _sweep(scenario)[0]
-
-
-def _sweep(scenario: Scenario) -> tuple[list[BerPoint], bool]:
-    """The points of `run_ber_sweep`, and whether an interrupt ended the sweep."""
     cfg, alphabet = scenario.cfg, scenario.alphabet
     b_total = frame_bit_count(cfg)
     weights = (1 << np.arange(b_total - 1, -1, -1)).astype(np.int64)
@@ -157,8 +153,8 @@ def _sweep(scenario: Scenario) -> tuple[list[BerPoint], bool]:
         # the point in progress, unless the interrupt came after its append
         if bits > 0 and len(points) == point_idx:
             points.append(_simulation_point(snr_db, bits, errors))
-        return points, True
-    return points, False
+        raise SweepInterrupted(points) from None
+    return points
 
 
 def _simulation_point(snr_db: float, bits: int, errors: int) -> BerPoint:
@@ -200,9 +196,7 @@ def run_scenario(scenario: Scenario) -> list[BerPoint]:
     An interrupt, in the sweep or in the theory rows, raises `SweepInterrupted`
     carrying the simulation points so far and no theory point.
     """
-    points, interrupted = _sweep(scenario)
-    if interrupted:
-        raise SweepInterrupted(points)
+    points = run_ber_sweep(scenario)
     if scenario.include_theory:
         try:
             points += theory_points(scenario)

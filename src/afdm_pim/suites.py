@@ -30,7 +30,7 @@ from .optimizer import (
     build_objective_context,
     reduced_objective,
 )
-from .simulate import TABLE_ALPHABETS
+from .simulate import TABLE_ALPHABETS, _bpsk
 from .transceiver import add_cpp, build_daft, chirp_basis, modulate, remove_cpp
 
 
@@ -142,49 +142,49 @@ def build_effective_analytic(
 
 
 def channel_suite() -> list[CheckResult]:
-    """Analytic vs operator channel construction, and the sample-level pipeline."""
-    cfg = SystemConfig(
-        n_subcarriers=8,
-        n_groups=2,
-        alphabet_size=4,
-        constellation_order=2,
-        constellation_kind="PSK",
-        max_delay=2,
-        max_doppler=2,
-        cpp_length=2,
+    """Analytic vs operator channel construction, and the sample-level pipeline.
+
+    Both run on N = 8 and on N = 3: with odd N and the default post-chirp the
+    prefix correction is -1 on the head rows, so a missing one shows.
+    """
+    cases = (  # (N, G, lambda, d_max, a_max) BPSK configs, paths per draw
+        (_bpsk(8, 2, 4, 2, 2), 4),
+        (_bpsk(3, 1, 3, 1, 1), 3),
     )
-    alphabet = PreChirpAlphabet(TABLE_ALPHABETS[4])
-    b_total = frame_bit_count(cfg)
     rng = RandomSource(CHANNEL_SEED).generator()
     worst_matrix = 0.0
     worst_pipeline = 0.0
-    for _ in range(CHANNEL_DRAWS):
-        frame = bits_to_frame(rng.integers(0, 2, b_total), cfg, alphabet)
-        ch = sample_channel(cfg, 4, rng)
-        analytic = build_effective_analytic(ch, cfg, alphabet, frame.pcpg)
-        operator = build_effective_matrix(ch, cfg, alphabet, frame.pcpg)
-        worst_matrix = max(
-            worst_matrix, float(np.max(np.abs(analytic.matrix - operator.matrix)))
-        )
-        s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
-        r = remove_cpp(
-            apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg
-        )
-        y = build_daft(cfg, alphabet, frame.pcpg) @ r
-        worst_pipeline = max(
-            worst_pipeline,
-            float(np.max(np.abs(y - operator.matrix @ frame.symbols))),
-        )
+    for cfg, p_paths in cases:
+        alphabet = PreChirpAlphabet(TABLE_ALPHABETS[cfg.alphabet_size])
+        b_total = frame_bit_count(cfg)
+        for _ in range(CHANNEL_DRAWS):
+            frame = bits_to_frame(rng.integers(0, 2, b_total), cfg, alphabet)
+            ch = sample_channel(cfg, p_paths, rng)
+            analytic = build_effective_analytic(ch, cfg, alphabet, frame.pcpg)
+            operator = build_effective_matrix(ch, cfg, alphabet, frame.pcpg)
+            worst_matrix = max(
+                worst_matrix, float(np.max(np.abs(analytic.matrix - operator.matrix)))
+            )
+            s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
+            r = remove_cpp(
+                apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg
+            )
+            y = build_daft(cfg, alphabet, frame.pcpg) @ r
+            worst_pipeline = max(
+                worst_pipeline,
+                float(np.max(np.abs(y - operator.matrix @ frame.symbols))),
+            )
+    draws = f"over {CHANNEL_DRAWS} draws each at N=8 and N=3"
     return [
         CheckResult(
             name="dual channel construction",
             passed=worst_matrix < 1e-9,
-            detail=f"max entry deviation {worst_matrix:.2e} over {CHANNEL_DRAWS} draws",
+            detail=f"max entry deviation {worst_matrix:.2e} {draws}",
         ),
         CheckResult(
             name="sample-level pipeline",
             passed=worst_pipeline < 1e-9,
-            detail=f"max deviation from H_eff x: {worst_pipeline:.2e}",
+            detail=f"max deviation from H_eff x: {worst_pipeline:.2e} {draws}",
         ),
     ]
 

@@ -55,10 +55,7 @@ def add_cpp(s: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     n = cfg.n_subcarriers
     if s.ndim not in (1, 2) or s.shape[-1] != n:
         raise ValueError(f"expected prefix-free frames of length {n}")
-    l_cp = cfg.cpp_length
-    if l_cp == 0:
-        return s.copy()
-    neg = np.arange(-l_cp, 0)
+    neg = np.arange(-cfg.cpp_length, 0)
     prefix = s[..., n + neg] * np.exp(-2j * np.pi * cfg.post_chirp * (n**2 + 2 * n * neg))
     return np.concatenate([prefix, s], axis=-1)
 

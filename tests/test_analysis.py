@@ -5,7 +5,6 @@ import pytest
 
 from afdm_pim import analysis
 from afdm_pim.analysis import (
-    abep_curve,
     abep_curve_jakes,
     check_full_diversity_conditions,
     diversity_order,
@@ -85,24 +84,19 @@ def test_upep_high_snr_slope_is_rank():
     assert slope == pytest.approx(pair.rank, abs=0.05)
 
 
-def _geoms42():
-    return enumerate_placements(BPSK42, 3, distinct=True)
-
-
 def test_abep_monotone_and_clipped():
-    geoms = _geoms42()
     n0s = [10 ** (-s / 10) for s in (0, 5, 10, 15, 20)]
-    curve = abep_curve(BPSK42, AL2, geoms, n0s)
-    assert np.all(np.diff(curve) <= 1e-15)
+    curve = abep_curve_jakes(BPSK42, AL2, 3, n0s)
     assert curve[0] == 1.0  # union bound blows past one at low SNR, clipped
+    assert np.all(np.diff(curve[1:]) < 0)  # and falls strictly from 5 dB on
     assert np.all((curve >= 0) & (curve <= 1))
 
 
 def test_abep_high_snr_slope_matches_diversity():
-    geoms = _geoms42()
-    mu = diversity_order(BPSK42, AL2, geoms)
+    supports = [support for support, _, _ in jakes_geometry_mixture(BPSK42, 3)]
+    mu = diversity_order(BPSK42, AL2, supports)
     n0s = [1e-5, 1e-6]
-    curve = abep_curve(BPSK42, AL2, geoms, n0s)
+    curve = abep_curve_jakes(BPSK42, AL2, 3, n0s)
     slope = math.log10(curve[0] / curve[1])
     assert slope == pytest.approx(mu, abs=0.1)
 
@@ -116,31 +110,29 @@ def test_abep_curve_matches_scalar_upep_route():
 
     cfg = SystemConfig(n_subcarriers=2, n_groups=1, alphabet_size=2, max_doppler=1)
     al = AL2
-    geoms = enumerate_placements(cfg, 2, distinct=True)
+    p_paths = 2
     n0 = 0.05
     payload = codeword_table(cfg)
     count = len(payload)
     total = 0.0
-    for geom in geoms:
-        phi = path_image_tensor(cfg, al, geom)
-        scale = np.sqrt(1 / 2)
+    for support, mult, weight in jakes_geometry_mixture(cfg, p_paths):
+        phi = path_image_tensor(cfg, al, support)
+        scale = np.sqrt(np.asarray(mult) / p_paths)  # column gain variance mult/P
         for i, j in combinations(range(count), 2):
             pair = pairwise_difference(phi[i] * scale, phi[j] * scale)
             tau = np.count_nonzero(payload[i] != payload[j])
-            total += 2 * upep(pair, 1, n0) * tau
+            total += weight * 2 * upep(pair, 1, n0) * tau
     b = frame_bit_count(cfg)
-    expected = min(total / (b * 2.0**b * len(geoms)), 1.0)
-    got = float(abep_curve(cfg, al, geoms, [n0])[0])
+    expected = min(total / (b * 2.0**b), 1.0)
+    got = float(abep_curve_jakes(cfg, al, p_paths, [n0])[0])
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_abep_requires_positive_noise_and_geometries():
     with pytest.raises(ValueError, match="positive"):
-        abep_curve(BPSK42, AL2, _geoms42(), [0.0])
-    with pytest.raises(ValueError, match="placement"):
-        abep_curve(BPSK42, AL2, [], [0.1])
-    with pytest.raises(ValueError, match=r"empty placement \(\)"):
-        abep_curve(BPSK42, AL2, [()], [0.1])
+        abep_curve_jakes(BPSK42, AL2, 3, [0.0])
+    with pytest.raises(ValueError, match="no placements"):
+        diversity_order(BPSK42, AL2, [])
     with pytest.raises(ValueError, match=r"empty placement \(\)"):
         diversity_order(BPSK42, AL2, [()])
 
@@ -222,10 +214,3 @@ def test_jakes_geometry_mixture_weights_sum_to_one():
     for support, mult, _ in mixture:
         assert len(support) == len(set(support))
         assert sum(mult) == 3
-
-
-def test_abep_jakes_curve_properties():
-    n0s = [10 ** (-s / 10) for s in (5, 10, 15, 20)]
-    curve = abep_curve_jakes(BPSK42, AL2, 3, n0s)
-    assert np.all(np.diff(curve) < 0)
-    assert np.all((curve >= 0) & (curve <= 1))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afdm_pim.analysis import abep_curve, diversity_order
+from afdm_pim.analysis import diversity_order
 from afdm_pim import suites
 from afdm_pim.channel import (
     ChannelRealization,
@@ -361,11 +361,9 @@ def test_path_outside_the_grid_is_rejected(delay, doppler):
     outside = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, delay]), np.array([1, doppler]))
     with pytest.raises(ValueError, match="outside the grid"):
         detector.detect(r, outside)
-    # the pair scans read the same cell images, so the bound and the scan reject it too
+    # the pair scan reads the same cell images, so it rejects the path too
     with pytest.raises(ValueError, match="outside the grid"):
         diversity_order(BPSK42, AL2, [outside.geometry])
-    with pytest.raises(ValueError, match="outside the grid"):
-        abep_curve(BPSK42, AL2, [outside.geometry], [0.1])
     edge = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, BPSK42.max_delay]), np.array([1, -1]))
     bits, metric = detector.detect(r, edge)
     assert bits.shape == (frame_bit_count(BPSK42),) and np.isfinite(metric)

@@ -14,6 +14,7 @@ from afdm_pim.simulate import (
     PRESETS,
     BerPoint,
     Scenario,
+    SweepInterrupted,
     make_preset,
     noise_variance_from_snr_db,
     run_ber_sweep,
@@ -304,7 +305,9 @@ def test_interrupt_reports_partial_results(monkeypatch):
         return original(self, r, ch)
 
     monkeypatch.setattr(MLDetector, "detect", flaky)
-    points = run_ber_sweep(_tiny(snr=(0.0, 10.0), min_bits=3_000))
+    with pytest.raises(SweepInterrupted) as stop:
+        run_ber_sweep(_tiny(snr=(0.0, 10.0), min_bits=3_000))
+    points = stop.value.points
     # interrupted mid-sweep: the partial point is still reported
     assert len(points) >= 1
     assert points[-1].bits > 0
@@ -325,7 +328,9 @@ def test_interrupt_between_points_keeps_finished_points_once(monkeypatch):
 
     monkeypatch.setattr(simulate, "noise_variance_from_snr_db", interrupt_second_point)
     # the first point is finished and the second has no frame yet
-    assert run_ber_sweep(_tiny(snr=(0.0, 10.0), min_bits=3_000)) == full[:1]
+    with pytest.raises(SweepInterrupted) as stop:
+        run_ber_sweep(_tiny(snr=(0.0, 10.0), min_bits=3_000))
+    assert stop.value.points == full[:1]
 
 
 def test_alphabet_file_reference(tmp_path):
