@@ -1,9 +1,13 @@
-"""Seeded CSVs of short sweeps, compared byte for byte with tests/golden/.
+"""Seeded CSVs of short sweeps, compared byte for byte with tests/golden/,
+and seeded swarm designs, compared byte for byte with tests/golden/pso/.
 
-Each case is a preset with a small bit budget, so a detector, channel or
-bound rewrite that moves one ML decision or one theory digit fails here.
+Each sweep case is a preset with a small bit budget, so a detector, channel
+or bound rewrite that moves one ML decision or one theory digit fails here.
 `fig8_hi_post_chirp_0.17` is the only case with an off-grid post-chirp, so
 the only one whose prefix correction is not identically 1.
+
+Each swarm case stores the designed alphabet's repr and the convergence log,
+so an optimizer rewrite that moves one swarm decision fails here.
 
 An intended change to a golden file needs a reason in CHANGES.md. To rewrite
 the files from the current source:
@@ -19,10 +23,18 @@ from pathlib import Path
 
 import pytest
 
+from afdm_pim.config import RandomSource
 from afdm_pim.mapping import frame_bit_count
+from afdm_pim.optimizer import (
+    PsoParams,
+    build_objective_context,
+    pso_optimize,
+    write_convergence_csv,
+)
 from afdm_pim.simulate import make_preset, run_scenario, write_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+PSO_DIR = GOLDEN_DIR / "pso"
 
 _SHORT_GRID = (5.0, 10.0, 15.0)
 
@@ -68,12 +80,42 @@ def test_seeded_csv_matches_golden(stem):
     assert golden_csv(stem) == expected
 
 
+# file stem -> (preset, swarm parameters); every swarm draws from seed 42
+SWARMS = {
+    "fig4_200x300_seed42": ("fig4", PsoParams()),
+    "fig7_4x1_seed42": ("fig7_pim", PsoParams(n_particles=4, max_iterations=1)),
+    "fig7_200x300_seed42": ("fig7_pim", PsoParams()),
+}
+
+
+def golden_swarm(stem: str) -> str:
+    """The designed alphabet's repr on the first line, then the convergence log."""
+    preset, params = SWARMS[stem]
+    scenario = make_preset(preset)
+    ctx = build_objective_context(scenario.cfg, scenario.p_paths)
+    result = pso_optimize(scenario.cfg, ctx, params, RandomSource(42).generator())
+    buf = io.StringIO()
+    buf.write(f"{result.alphabet!r}\n")
+    write_convergence_csv(result.history, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("stem", sorted(SWARMS))
+def test_seeded_swarm_matches_golden(stem):
+    expected = (PSO_DIR / f"{stem}.txt").read_text(encoding="utf-8")
+    assert golden_swarm(stem) == expected
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.csv")) == sorted(CASES)
+    assert sorted(p.stem for p in PSO_DIR.glob("*.txt")) == sorted(SWARMS)
 
 
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    PSO_DIR.mkdir(parents=True, exist_ok=True)
     for stem in sorted(CASES):
         (GOLDEN_DIR / f"{stem}.csv").write_text(golden_csv(stem), encoding="utf-8")
         print(f"wrote {stem}.csv")
+    for stem in sorted(SWARMS):
+        (PSO_DIR / f"{stem}.txt").write_text(golden_swarm(stem), encoding="utf-8")
+        print(f"wrote pso/{stem}.txt")
