@@ -101,19 +101,19 @@ def _parse_pso_overrides(spec: str | None, base: PsoParams) -> PsoParams:
     return replace(base, **kwargs)
 
 
-def _pso_params_from_sections(sections) -> PsoParams:
-    items = sections.get("pso", {})
+def _pso_params(args: argparse.Namespace) -> PsoParams:
+    """The published tuning, then a config file's [pso] keys (a preset has
+    none), then --pso-params."""
+    items = {} if args.config in PRESETS else read_config_file(args.config).get("pso", {})
     spec = ",".join(f"{k}={v}" for k, v in items.items()) if items else None
-    return _parse_pso_overrides(spec, PsoParams())
+    return _parse_pso_overrides(args.pso_params, _parse_pso_overrides(spec, PsoParams()))
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    sections = read_config_file(args.config)
-    scenario = scenario_from_sections(sections, name=os.path.basename(args.config))
-    params = _parse_pso_overrides(args.pso_params, _pso_params_from_sections(sections))
-    seed = _resolve_seed(args.seed, scenario.seed)
+    scenario = _load_scenario(args.config, args.seed)
+    params = _pso_params(args)
     ctx = build_objective_context(scenario.cfg, scenario.p_paths)
-    result = pso_optimize(scenario.cfg, ctx, params, RandomSource(seed).generator())
+    result = pso_optimize(scenario.cfg, ctx, params, RandomSource(scenario.seed).generator())
     if args.out:
         save_alphabet(result.alphabet, args.out)
         log_path = args.log or args.out + ".convergence.csv"
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_opt = sub.add_parser("optimize", help="design a pre-chirp alphabet with PSO")
-    p_opt.add_argument("config", help="config file path")
+    p_opt.add_argument("config", help=f"config file path or preset name {sorted(PRESETS)}")
     p_opt.add_argument("--pso-params", default=None, help="overrides, e.g. particles=50,iterations=100")
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.add_argument("--out", default=None, help="alphabet file path (default stdout)")

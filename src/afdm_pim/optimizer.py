@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -24,8 +24,12 @@ class ObjectiveContext:
 
     Holds the legitimate frame patterns, the Hamming-2 pattern pairs, all
     placements of p_paths over distinct delay-Doppler cells, and the cyclic
-    index tables they induce. The collision fields describe the index error
-    events scored by `collision_score` and the swarm's bound on that score.
+    index tables they induce. The pairs fall into Q classes that score alike;
+    the class objectives are weighted sums of D distinct cosines
+    1 - cos(2 pi m (c[hi] - c[lo])), one per (lo, hi, |m|) key, so a batch of
+    F alphabets is scored as one (F, D) by (D, Q) product. The collision
+    fields describe the index error events scored by `collision_score` and
+    the swarm's bound on that score.
     """
 
     cfg: SystemConfig
@@ -38,12 +42,9 @@ class ObjectiveContext:
     row_sq: np.ndarray  # (N,) row ** 2
     # Hamming-2 pairs are transpositions; pairs sharing (u, v, a, b) score alike
     pair_class: np.ndarray  # (n_pairs,) index of each pair's class
-    class_ab: np.ndarray  # (Q, 2) alphabet indices (a, b); delta = c[b] - c[a]
-    # per class, the distinct (A, B) of the non-zero terms 1 - cos(2 pi (delta A -
-    # delta B)) of the reduced objective, and how many (placement, path, row) share them
-    term_col: np.ndarray  # (Q, 8) A = +-col^2
-    term_row: np.ndarray  # (Q, 8) B = +-row^2
-    term_weight: np.ndarray  # (Q, 8) multiplicity W
+    cos_pairs: np.ndarray  # (D, 2) alphabet indices (lo, hi), lo < hi
+    cos_args: np.ndarray  # (D,) 2 pi |m|, m an integer multiplier
+    cos_weights: np.ndarray  # (D, Q) how many (placement, path, row) terms of a class
     # per support size: (subcarriers, alphabet index a, alphabet index b), each (T, s)
     collision_terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     # distinct symbol pairs (x, x'): |x|^2 + |x'|^2, x conj(x'), multiplicity
@@ -100,14 +101,16 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
 
 
 def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray) -> dict:
-    """Class tables of the Hamming-2 pairs (pj[i], pk[i]) for `_class_objectives`.
+    """Class and cosine tables of the Hamming-2 pairs (pj[i], pk[i]) for
+    `_class_objectives`.
 
     A pair that swaps alphabet indices a and b on subcarriers u < v has
     diff = c[pk] - c[pj] equal to delta = c[b] - c[a] on u, -delta on v and 0
     elsewhere, so its reduced objective depends only on (u, v, a, b). A term
     of `reduced_objective` is non-zero only where its column or its row is u
-    or v; its argument is then 2 pi (delta A - delta B) with A = +u^2, -v^2 or
-    0 from the column and B likewise from the row.
+    or v; its argument is then 2 pi m delta with m = A - B, where A = u^2, -v^2
+    or 0 from the column and B likewise from the row. cos is even, so the term
+    depends only on (min(a, b), max(a, b), |m|), a key many classes share.
     """
     n = col_index.shape[-1]
     sub = np.arange(n)
@@ -125,32 +128,42 @@ def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray) -> dict
     col_count = np.stack([col_index.size // n - hu - hv, hu, hv], axis=1)  # (Q, 3, N)
     row_code = (sub == cu[:, None]) + 2 * (sub == cv[:, None])  # (Q, N)
     weight = np.einsum("qcn,qnr->qcr", col_count, np.eye(3, dtype=np.int64)[row_code])
-    coeff = np.stack(
-        [np.zeros(len(keys)), cu.astype(float) ** 2, -(cv.astype(float) ** 2)], axis=1
-    )  # (Q, 3): the factor of +-delta for codes 0, 1, 2
-    # code (0, 0) has a zero argument and drops out
+    coeff = np.stack([np.zeros_like(cu), cu**2, -(cv**2)], axis=1)  # (Q, 3) per code
+    multiplier = np.abs(coeff[:, :, None] - coeff[:, None, :])  # (Q, 3, 3): |A - B|
+    # a zero multiplier (code (0, 0), (1, 1), (2, 2), or u = 0) gives a zero term
+    q, c, r = np.nonzero((multiplier > 0) & (weight > 0))
+    lo_hi = np.sort(keys[:, 2:], axis=1)[q]
+    cos_keys, slot = np.unique(
+        np.column_stack([lo_hi, multiplier[q, c, r]]), axis=0, return_inverse=True
+    )
+    cos_weights = np.zeros((len(cos_keys), len(keys)))
+    np.add.at(cos_weights, (slot.reshape(-1), q), weight[q, c, r])
     return dict(
         pair_class=pair_class.reshape(-1),
-        class_ab=keys[:, 2:],
-        term_col=np.repeat(coeff, 3, axis=1)[:, 1:],
-        term_row=np.tile(coeff, 3)[:, 1:],
-        term_weight=weight.reshape(len(keys), 9)[:, 1:].astype(float),
+        cos_pairs=cos_keys[:, :2],
+        cos_args=2 * np.pi * cos_keys[:, 2],
+        cos_weights=cos_weights,
     )
 
 
 def _collision_terms(group_patterns, cfg: SystemConfig) -> tuple:
     """Every pair of legitimate patterns that differ inside one group, grouped
     by the number of subcarriers on which they differ."""
-    by_size: dict[int, list] = {}
-    for g in range(cfg.n_groups):
-        for pa, pb in combinations(np.array(group_patterns), 2):
-            support = np.flatnonzero(pa != pb)
-            entry = (g * cfg.group_size + support, pa[support], pb[support])
-            by_size.setdefault(len(support), []).append(entry)
-    return tuple(
-        tuple(np.array(column) for column in zip(*entries))
-        for _, entries in sorted(by_size.items())
-    )
+    patterns = np.array(group_patterns)
+    first, second = np.triu_indices(len(patterns), 1)  # in combinations order
+    differ = patterns[first] != patterns[second]
+    size = np.count_nonzero(differ, axis=1)
+    offsets = cfg.group_size * np.arange(cfg.n_groups)[:, None, None]
+    terms = []
+    for s in np.unique(size):
+        rows = np.flatnonzero(size == s)
+        support = np.nonzero(differ[rows])[1].reshape(-1, s)
+        pa = np.take_along_axis(patterns[first[rows]], support, axis=1)
+        pb = np.take_along_axis(patterns[second[rows]], support, axis=1)
+        # group-major: each group repeats the pairs of the group before it
+        tile = (cfg.n_groups, 1)
+        terms.append(((offsets + support).reshape(-1, s), np.tile(pa, tile), np.tile(pb, tile)))
+    return tuple(terms)
 
 
 def _symbol_pairs(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,15 +193,16 @@ def _check_pair(ctx: ObjectiveContext, pair: tuple[int, int]) -> tuple[int, int]
 def _class_objectives(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     """Reduced objective of every pair class, batched: (F, lambda) -> (F, Q).
 
-    Each class sums its weighted terms, which are the same floating-point
-    values as the terms of `reduced_objective`; only the order of the sum
-    differs. Every class holds at least one pair, so the minimum over classes
-    is the minimum over pairs.
+    Each of the D distinct cosines is evaluated once per alphabet and the
+    classes sum them by weight. The terms keep the form 1 - cos, as in
+    `reduced_objective`, so a pair the oracle scores exactly 0 scores exactly
+    0 here; otherwise the two agree to rounding. Every class holds at least
+    one pair, so the minimum over classes is the minimum over pairs. With no
+    cosine (a single delay-Doppler cell) every objective is 0.
     """
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    delta = (vals[:, ctx.class_ab[:, 1]] - vals[:, ctx.class_ab[:, 0]])[:, :, None]
-    delta_theta = 2 * np.pi * (delta * ctx.term_col - delta * ctx.term_row)  # (F, Q, 8)
-    return np.sum(ctx.term_weight * (1.0 - np.cos(delta_theta)), axis=2)
+    lo, hi = ctx.cos_pairs.T
+    return (1.0 - np.cos((vals[:, hi] - vals[:, lo]) * ctx.cos_args)) @ ctx.cos_weights
 
 
 def reduced_objective(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]) -> float:
@@ -287,6 +301,22 @@ def uniform_heuristic(alphabet_size: int) -> np.ndarray:
     return (np.arange(alphabet_size) + 0.5) / alphabet_size
 
 
+def _swarm_fitness(positions: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
+    """Min-pair objective of each sorted position, or -1 where it is infeasible."""
+    canon = np.sort(positions, axis=1)
+    # sorted rows lie in (0, 1) when their ends do, and are distinct when increasing
+    feasible = (canon[:, 0] > 0.0) & (canon[:, -1] < 1.0)
+    feasible &= np.all(canon[:, 1:] > canon[:, :-1], axis=1)
+    # scores are never NaN, so under an infinite limit every one passes
+    if math.isfinite(ctx.collision_limit) and np.any(feasible):
+        scores = _collision_scores(canon[feasible], ctx)
+        feasible[feasible] = scores <= ctx.collision_limit
+    fit = np.full(positions.shape[0], -1.0)
+    if np.any(feasible):
+        fit[feasible] = _class_objectives(canon[feasible], ctx).min(axis=1)
+    return fit
+
+
 def pso_optimize(
     cfg: SystemConfig,
     ctx: ObjectiveContext,
@@ -318,19 +348,6 @@ def pso_optimize(
             history=((0, math.nan),),
         )
 
-    def fitness_of(positions: np.ndarray) -> np.ndarray:
-        canon = np.sort(positions, axis=1)
-        feasible = np.all((canon > 0.0) & (canon < 1.0), axis=1)
-        feasible &= np.all(np.diff(canon, axis=1) > 0.0, axis=1)
-        # scores are never NaN, so under an infinite limit every one passes
-        if math.isfinite(ctx.collision_limit) and np.any(feasible):
-            scores = _collision_scores(canon[feasible], ctx)
-            feasible[feasible] = scores <= ctx.collision_limit
-        fit = np.full(positions.shape[0], -1.0)
-        if np.any(feasible):
-            fit[feasible] = _class_objectives(canon[feasible], ctx).min(axis=1)
-        return fit
-
     n_p = params.n_particles
     positions = np.empty((n_p, lam), dtype=float)
     positions[0] = heuristic
@@ -338,7 +355,7 @@ def pso_optimize(
         positions[1:] = rng.uniform(0.0, 1.0, size=(n_p - 1, lam))
     velocities = np.zeros_like(positions)
 
-    fit = fitness_of(positions)
+    fit = _swarm_fitness(positions, ctx)
     local_pos = positions.copy()
     local_fit = fit.copy()
     best = int(np.argmax(fit))
@@ -356,7 +373,7 @@ def pso_optimize(
         )
         np.clip(velocities, -params.velocity_max, params.velocity_max, out=velocities)
         positions = positions + velocities
-        fit = fitness_of(positions)
+        fit = _swarm_fitness(positions, ctx)
         improved = fit > local_fit
         local_pos[improved] = positions[improved]
         local_fit[improved] = fit[improved]

@@ -7,7 +7,7 @@ from afdm_pim.cli import main
 from afdm_pim.detection import MLDetector
 from afdm_pim.config import RandomSource
 from afdm_pim.mapping import load_alphabet
-from afdm_pim.optimizer import pso_optimize
+from afdm_pim.optimizer import PsoParams, build_objective_context, pso_optimize
 
 CONFIG_TEXT = """\
 [system]
@@ -240,6 +240,41 @@ def test_optimize_seed_zero_is_its_own_draw(config_path, monkeypatch):
         assert main(args + ["--seed", str(seed)]) == 0
     assert states == [RandomSource(seed).generator().bit_generator.state for seed in (0, 1)]
     assert states[0] != states[1]
+
+
+def test_optimize_accepts_a_preset(monkeypatch, capsys):
+    # a preset has no [pso] section: the published tuning, then --pso-params
+    monkeypatch.delenv("SIM_SEED", raising=False)
+    calls = []
+
+    def spy(cfg, ctx, params, rng):
+        calls.append((cfg, params))
+        return pso_optimize(cfg, ctx, params, rng)
+
+    monkeypatch.setattr(cli, "pso_optimize", spy)
+    args = ["optimize", "fig4", "--seed", "42", "--pso-params", "particles=4,iterations=1"]
+    assert main(args) == 0
+    scenario = simulate.make_preset("fig4")
+    params = PsoParams(n_particles=4, max_iterations=1)
+    assert calls == [(scenario.cfg, params)]
+    ctx = build_objective_context(scenario.cfg, scenario.p_paths)
+    expected = pso_optimize(scenario.cfg, ctx, params, RandomSource(42).generator())
+    assert capsys.readouterr().out.split() == [f"{v:.12g}" for v in expected.alphabet.values]
+
+
+def test_optimize_reads_pso_keys_of_a_config_file(tmp_path, monkeypatch):
+    # --pso-params overrides the file's [pso] keys, which override the defaults
+    path = tmp_path / "swarm.cfg"
+    path.write_text(CONFIG_TEXT + "\n[pso]\nparticles = 4\niterations = 3\n")
+    calls = []
+
+    def spy(cfg, ctx, params, rng):
+        calls.append(params)
+        return pso_optimize(cfg, ctx, params, rng)
+
+    monkeypatch.setattr(cli, "pso_optimize", spy)
+    assert main(["optimize", str(path), "--pso-params", "iterations=1"]) == 0
+    assert calls == [PsoParams(n_particles=4, max_iterations=1)]
 
 
 def test_optimize_rejects_unknown_pso_key(config_path, capsys):

@@ -257,6 +257,24 @@ def test_pso_result_within_collision_limit(monkeypatch):
     assert res.fitness == min_pair_objective(res.alphabet, ctx)
 
 
+def test_swarm_fitness_walls_off_infeasible_positions():
+    """Rows are sorted before scoring; a value at 0 or 1, a repeated value and a
+    collision score over the limit each give -1."""
+    ctx = build_objective_context(CFG_FIG4, 3)
+    positions = np.array(
+        [
+            [0.0, 0.5, 0.8],
+            [0.2, 0.5, 1.0],
+            [0.2, 0.5, 0.5],
+            [0.4079, 0.8079, 0.9106],  # the sign-flip ridge
+            [5 / 6, 1 / 6, 1 / 2],  # the heuristic, unsorted
+        ]
+    )
+    fit = optimizer._swarm_fitness(positions, ctx)
+    assert fit[:4].tolist() == [-1.0] * 4
+    assert fit[4] == pytest.approx(min_pair_objective(uniform_heuristic(3), ctx), rel=1e-12)
+
+
 def test_uniform_heuristic_values():
     assert np.allclose(uniform_heuristic(3), [1 / 6, 3 / 6, 5 / 6])
     assert np.allclose(uniform_heuristic(1), [0.5])
