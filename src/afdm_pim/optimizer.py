@@ -155,7 +155,7 @@ def _collision_terms(group_patterns, cfg: SystemConfig) -> tuple:
     size = np.count_nonzero(differ, axis=1)
     offsets = cfg.group_size * np.arange(cfg.n_groups)[:, None, None]
     terms = []
-    for s in np.unique(size):
+    for s in np.flatnonzero(np.bincount(size)):  # the sizes that occur, ascending
         rows = np.flatnonzero(size == s)
         support = np.nonzero(differ[rows])[1].reshape(-1, s)
         pa = np.take_along_axis(patterns[first[rows]], support, axis=1)
@@ -306,13 +306,15 @@ def _swarm_fitness(positions: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     canon = np.sort(positions, axis=1)
     # sorted rows lie in (0, 1) when their ends do, and are distinct when increasing
     feasible = (canon[:, 0] > 0.0) & (canon[:, -1] < 1.0)
-    feasible &= np.all(canon[:, 1:] > canon[:, :-1], axis=1)
+    feasible &= (canon[:, 1:] > canon[:, :-1]).all(axis=1)
     # scores are never NaN, so under an infinite limit every one passes
-    if math.isfinite(ctx.collision_limit) and np.any(feasible):
+    if math.isfinite(ctx.collision_limit) and feasible.any():
         scores = _collision_scores(canon[feasible], ctx)
         feasible[feasible] = scores <= ctx.collision_limit
+    if feasible.all():
+        return _class_objectives(canon, ctx).min(axis=1)
     fit = np.full(positions.shape[0], -1.0)
-    if np.any(feasible):
+    if feasible.any():
         fit[feasible] = _class_objectives(canon[feasible], ctx).min(axis=1)
     return fit
 
