@@ -43,15 +43,21 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int | None:
     return config_seed
 
 
-def _load_scenario(config_arg: str, seed_flag: int | None):
+def _load_scenario_sections(config_arg: str, seed_flag: int | None):
+    """The scenario of a preset name or a config file, and the file's sections
+    ({} for a preset)."""
     if config_arg in PRESETS:
-        return make_preset(config_arg, seed=_resolve_seed(seed_flag, None))
+        return make_preset(config_arg, seed=_resolve_seed(seed_flag, None)), {}
     sections = read_config_file(config_arg)
     scenario = scenario_from_sections(sections, name=os.path.basename(config_arg))
     seed = _resolve_seed(seed_flag, scenario.seed)
     if seed is not None and seed != scenario.seed:
         scenario = replace(scenario, seed=seed)
-    return scenario
+    return scenario, sections
+
+
+def _load_scenario(config_arg: str, seed_flag: int | None):
+    return _load_scenario_sections(config_arg, seed_flag)[0]
 
 
 def _write_points(points, scenario, path: str | None) -> None:
@@ -101,17 +107,15 @@ def _parse_pso_overrides(spec: str | None, base: PsoParams) -> PsoParams:
     return replace(base, **kwargs)
 
 
-def _pso_params(args: argparse.Namespace) -> PsoParams:
-    """The published tuning, then a config file's [pso] keys (a preset has
-    none), then --pso-params."""
-    items = {} if args.config in PRESETS else read_config_file(args.config).get("pso", {})
+def _pso_params_from_sections(sections) -> PsoParams:
+    items = sections.get("pso", {})
     spec = ",".join(f"{k}={v}" for k, v in items.items()) if items else None
-    return _parse_pso_overrides(args.pso_params, _parse_pso_overrides(spec, PsoParams()))
+    return _parse_pso_overrides(spec, PsoParams())
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.config, args.seed)
-    params = _pso_params(args)
+    scenario, sections = _load_scenario_sections(args.config, args.seed)
+    params = _parse_pso_overrides(args.pso_params, _pso_params_from_sections(sections))
     ctx = build_objective_context(scenario.cfg, scenario.p_paths)
     result = pso_optimize(scenario.cfg, ctx, params, RandomSource(scenario.seed).generator())
     if args.out:

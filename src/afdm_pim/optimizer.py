@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -149,21 +149,16 @@ def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray) -> dict
 def _collision_terms(group_patterns, cfg: SystemConfig) -> tuple:
     """Every pair of legitimate patterns that differ inside one group, grouped
     by the number of subcarriers on which they differ."""
-    patterns = np.array(group_patterns)
-    first, second = np.triu_indices(len(patterns), 1)  # in combinations order
-    differ = patterns[first] != patterns[second]
-    size = np.count_nonzero(differ, axis=1)
-    offsets = cfg.group_size * np.arange(cfg.n_groups)[:, None, None]
-    terms = []
-    for s in np.flatnonzero(np.bincount(size)):  # the sizes that occur, ascending
-        rows = np.flatnonzero(size == s)
-        support = np.nonzero(differ[rows])[1].reshape(-1, s)
-        pa = np.take_along_axis(patterns[first[rows]], support, axis=1)
-        pb = np.take_along_axis(patterns[second[rows]], support, axis=1)
-        # group-major: each group repeats the pairs of the group before it
-        tile = (cfg.n_groups, 1)
-        terms.append(((offsets + support).reshape(-1, s), np.tile(pa, tile), np.tile(pb, tile)))
-    return tuple(terms)
+    by_size: dict[int, list] = {}
+    for g in range(cfg.n_groups):
+        for pa, pb in combinations(np.array(group_patterns), 2):
+            support = np.flatnonzero(pa != pb)
+            entry = (g * cfg.group_size + support, pa[support], pb[support])
+            by_size.setdefault(len(support), []).append(entry)
+    return tuple(
+        tuple(np.array(column) for column in zip(*entries))
+        for _, entries in sorted(by_size.items())
+    )
 
 
 def _symbol_pairs(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,15 +301,13 @@ def _swarm_fitness(positions: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     canon = np.sort(positions, axis=1)
     # sorted rows lie in (0, 1) when their ends do, and are distinct when increasing
     feasible = (canon[:, 0] > 0.0) & (canon[:, -1] < 1.0)
-    feasible &= (canon[:, 1:] > canon[:, :-1]).all(axis=1)
+    feasible &= np.all(canon[:, 1:] > canon[:, :-1], axis=1)
     # scores are never NaN, so under an infinite limit every one passes
-    if math.isfinite(ctx.collision_limit) and feasible.any():
+    if math.isfinite(ctx.collision_limit) and np.any(feasible):
         scores = _collision_scores(canon[feasible], ctx)
         feasible[feasible] = scores <= ctx.collision_limit
-    if feasible.all():
-        return _class_objectives(canon, ctx).min(axis=1)
     fit = np.full(positions.shape[0], -1.0)
-    if feasible.any():
+    if np.any(feasible):
         fit[feasible] = _class_objectives(canon[feasible], ctx).min(axis=1)
     return fit
 

@@ -2,14 +2,18 @@
 configurations. Every draw is derandomized, so a run is deterministic."""
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afdm_pim import optimizer
 from afdm_pim.config import SystemConfig
+from afdm_pim.mapping import group_pattern_codebook
 from afdm_pim.optimizer import (
     _class_objectives,
+    _collision_terms,
     build_objective_context,
     reduced_objective,
     uniform_heuristic,
@@ -31,12 +35,21 @@ GEOMETRIES = [
 
 
 @lru_cache(maxsize=None)
+def _geometry_collision_terms(n, g):
+    # they depend on (N, G) alone, and take most of a second on N = 6, G = 1
+    cfg = SystemConfig(n_subcarriers=n, n_groups=g, alphabet_size=n // g)
+    return _collision_terms(group_pattern_codebook(n // g, n // g), cfg)
+
+
+@lru_cache(maxsize=None)
 def _context(n, g, d_max, a_max, p_paths):
     cfg = SystemConfig(
         n_subcarriers=n, n_groups=g, alphabet_size=n // g,
         max_delay=d_max, max_doppler=a_max, cpp_length=d_max,
     )
-    return build_objective_context(cfg, p_paths)
+    terms = _geometry_collision_terms(n, g)
+    with mock.patch.object(optimizer, "_collision_terms", lambda *_: terms):
+        return build_objective_context(cfg, p_paths)
 
 
 @st.composite
