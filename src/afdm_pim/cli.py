@@ -103,7 +103,12 @@ def _parse_pso_overrides(spec: str | None, base: PsoParams) -> PsoParams:
         if key not in mapping:
             raise ValueError(f"unknown pso parameter {key!r}; choices: {sorted(mapping)}")
         field, cast = mapping[key]
-        kwargs[field] = cast(raw)
+        try:
+            kwargs[field] = cast(raw)
+        except ValueError:
+            raise ValueError(
+                f"pso parameter {key}: cannot read {raw.strip()!r} as {cast.__name__}"
+            ) from None
     return replace(base, **kwargs)
 
 

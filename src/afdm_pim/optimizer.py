@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
@@ -10,7 +11,12 @@ import numpy as np
 
 from .channel import enumerate_placements, path_offset
 from .config import SystemConfig, constellation_for
-from .mapping import PreChirpAlphabet, group_pattern_codebook
+from .mapping import (
+    MAX_CODEWORDS,
+    PreChirpAlphabet,
+    group_pattern_codebook,
+    index_bits_per_group,
+)
 
 _BATCH_ELEMENTS = 1 << 24  # cap on the broadcast tensor size per collision-score chunk
 
@@ -42,7 +48,10 @@ class ObjectiveContext:
     row_sq: np.ndarray  # (N,) row ** 2
     # Hamming-2 pairs are transpositions; pairs sharing (u, v, a, b) score alike
     pair_class: np.ndarray  # (n_pairs,) index of each pair's class
-    cos_pairs: np.ndarray  # (D, 2) alphabet indices (lo, hi), lo < hi
+    # (lambda, D): +1 in row hi and -1 in row lo of each column, lo < hi; a
+    # product with it sums one +c, one -c and zeros, so values @ cos_diff is
+    # the float of c[hi] - c[lo] exactly
+    cos_diff: np.ndarray
     cos_args: np.ndarray  # (D,) 2 pi |m|, m an integer multiplier
     cos_weights: np.ndarray  # (D, Q) how many (placement, path, row) terms of a class
     # per support size: (subcarriers, alphabet index a, alphabet index b), each (T, s)
@@ -58,6 +67,15 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
     lam = cfg.alphabet_size
     if lam != n_c:
         raise ValueError("the pattern codebook requires alphabet_size == group size")
+    # the Hamming tensor below holds every pattern pair; with one group these
+    # are the pairs `_collision_terms` enumerates as well
+    n_patterns = (2 ** index_bits_per_group(lam, n_c)) ** cfg.n_groups
+    n_pairs = n_patterns * (n_patterns - 1) // 2
+    if n_pairs > MAX_CODEWORDS:
+        raise ValueError(
+            f"{n_patterns:,} patterns make {n_pairs:,} pattern pairs, above the "
+            f"enumeration limit {MAX_CODEWORDS:,}"
+        )
     if p_paths < 1:
         raise ValueError("p_paths must be >= 1")
     if p_paths > cfg.placement_capacity:
@@ -89,7 +107,7 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
         col_index=col_index,
         col_sq=col_index.astype(float) ** 2,
         row_sq=row.astype(float) ** 2,
-        **_pair_classes(patterns[pair_j], patterns[pair_k], col_index),
+        **_pair_classes(patterns[pair_j], patterns[pair_k], col_index, lam),
         collision_terms=_collision_terms(group_patterns, cfg),
         symbol_pairs=_symbol_pairs(cfg),
         collision_limit=math.inf,
@@ -100,7 +118,7 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
     return replace(ctx, collision_limit=limit)
 
 
-def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray) -> dict:
+def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray, lam: int) -> dict:
     """Class and cosine tables of the Hamming-2 pairs (pj[i], pk[i]) for
     `_class_objectives`.
 
@@ -138,9 +156,13 @@ def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray) -> dict
     )
     cos_weights = np.zeros((len(cos_keys), len(keys)))
     np.add.at(cos_weights, (slot.reshape(-1), q), weight[q, c, r])
+    cos_diff = np.zeros((lam, len(cos_keys)))
+    column = np.arange(len(cos_keys))
+    cos_diff[cos_keys[:, 1], column] = 1.0
+    cos_diff[cos_keys[:, 0], column] = -1.0
     return dict(
         pair_class=pair_class.reshape(-1),
-        cos_pairs=cos_keys[:, :2],
+        cos_diff=cos_diff,
         cos_args=2 * np.pi * cos_keys[:, 2],
         cos_weights=cos_weights,
     )
@@ -185,19 +207,24 @@ def _check_pair(ctx: ObjectiveContext, pair: tuple[int, int]) -> tuple[int, int]
     return j, k
 
 
-def _class_objectives(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
-    """Reduced objective of every pair class, batched: (F, lambda) -> (F, Q).
+def _class_objectives(
+    vals: np.ndarray, ctx: ObjectiveContext, where: np.ndarray | bool = True
+) -> np.ndarray:
+    """Reduced objective of every pair class, batched: (F, lambda) floats -> (F, Q).
 
     Each of the D distinct cosines is evaluated once per alphabet and the
     classes sum them by weight. The terms keep the form 1 - cos, as in
     `reduced_objective`, so a pair the oracle scores exactly 0 scores exactly
     0 here; otherwise the two agree to rounding. Every class holds at least
     one pair, so the minimum over classes is the minimum over pairs. With no
-    cosine (a single delay-Doppler cell) every objective is 0.
+    cosine (a single delay-Doppler cell) every objective is 0. The cosines of
+    a row whose `where` (F, 1) entry is False are skipped: its objectives are
+    finite for finite values but meaningless, for the caller to mask.
     """
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
-    lo, hi = ctx.cos_pairs.T
-    return (1.0 - np.cos((vals[:, hi] - vals[:, lo]) * ctx.cos_args)) @ ctx.cos_weights
+    phase = vals @ ctx.cos_diff
+    phase *= ctx.cos_args
+    np.cos(phase, out=phase, where=where)
+    return (1.0 - phase) @ ctx.cos_weights
 
 
 def reduced_objective(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]) -> float:
@@ -258,7 +285,7 @@ def min_pair_objective(alphabet, ctx: ObjectiveContext) -> float:
     """The max-min design target: minimum reduced objective over Hamming-2 pairs."""
     if not ctx.pairs:
         raise ValueError("context has no Hamming-2 pattern pairs")
-    return float(np.min(_class_objectives(_values_of(alphabet), ctx)))
+    return float(np.min(_class_objectives(np.atleast_2d(_values_of(alphabet)), ctx)))
 
 
 @dataclass(frozen=True)
@@ -273,15 +300,15 @@ class PsoParams:
     max_iterations: int = 300
 
     def __post_init__(self) -> None:
-        if (
-            self.n_particles < 1
-            or self.inertia <= 0
-            or self.global_coeff <= 0
-            or self.local_coeff <= 0
-            or self.velocity_max <= 0
-            or self.max_iterations < 0
-        ):
-            raise ValueError("swarm parameters must be positive")
+        for name, low in (("n_particles", 1), ("max_iterations", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        # finite coefficients keep every position finite, which `_swarm_fitness` needs
+        for name in ("inertia", "global_coeff", "local_coeff", "velocity_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -297,19 +324,22 @@ def uniform_heuristic(alphabet_size: int) -> np.ndarray:
 
 
 def _swarm_fitness(positions: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
-    """Min-pair objective of each sorted position, or -1 where it is infeasible."""
+    """Min-pair objective of each sorted position, or -1 where it is infeasible.
+
+    Every row goes through one scoring path and the infeasible ones are masked
+    after it, so rows must be finite; their cosines are skipped. The
+    collision score runs only under a finite limit, on rows that pass the box
+    and order checks.
+    """
     canon = np.sort(positions, axis=1)
     # sorted rows lie in (0, 1) when their ends do, and are distinct when increasing
     feasible = (canon[:, 0] > 0.0) & (canon[:, -1] < 1.0)
-    feasible &= np.all(canon[:, 1:] > canon[:, :-1], axis=1)
+    feasible &= (canon[:, 1:] > canon[:, :-1]).all(axis=1)
     # scores are never NaN, so under an infinite limit every one passes
-    if math.isfinite(ctx.collision_limit) and np.any(feasible):
-        scores = _collision_scores(canon[feasible], ctx)
-        feasible[feasible] = scores <= ctx.collision_limit
-    fit = np.full(positions.shape[0], -1.0)
-    if np.any(feasible):
-        fit[feasible] = _class_objectives(canon[feasible], ctx).min(axis=1)
-    return fit
+    if math.isfinite(ctx.collision_limit) and feasible.any():
+        feasible[feasible] = _collision_scores(canon[feasible], ctx) <= ctx.collision_limit
+    scores = _class_objectives(canon, ctx, where=feasible[:, None]).min(axis=1)
+    return np.where(feasible, scores, -1.0)
 
 
 def pso_optimize(
@@ -353,36 +383,45 @@ def pso_optimize(
     fit = _swarm_fitness(positions, ctx)
     local_pos = positions.copy()
     local_fit = fit.copy()
-    best = int(np.argmax(fit))
+    best = fit.argmax()
     global_pos = positions[best].copy()
     global_fit = float(fit[best])
     history = [(0, global_fit)]
 
+    # velocity = inertia v + (r1 c_local)(local - x) + (r2 c_global)(global - x),
+    # updated in place in that order of operations
+    coeffs = np.array([params.local_coeff, params.global_coeff])[:, None, None]
+    pull = np.empty_like(positions)
     for iteration in range(1, params.max_iterations + 1):
-        r1 = rng.uniform(size=(n_p, 1))
-        r2 = rng.uniform(size=(n_p, 1))
-        velocities = (
-            params.inertia * velocities
-            + r1 * params.local_coeff * (local_pos - positions)
-            + r2 * params.global_coeff * (global_pos[None, :] - positions)
-        )
-        np.clip(velocities, -params.velocity_max, params.velocity_max, out=velocities)
-        positions = positions + velocities
+        # r1 then r2, each (n_p, 1), from one draw: the stream of two
+        weights = rng.uniform(size=(2, n_p, 1))
+        weights *= coeffs
+        velocities *= params.inertia
+        np.subtract(local_pos, positions, out=pull)
+        pull *= weights[0]
+        velocities += pull
+        np.subtract(global_pos, positions, out=pull)
+        pull *= weights[1]
+        velocities += pull
+        np.maximum(velocities, -params.velocity_max, out=velocities)
+        np.minimum(velocities, params.velocity_max, out=velocities)
+        positions += velocities
         fit = _swarm_fitness(positions, ctx)
         improved = fit > local_fit
-        local_pos[improved] = positions[improved]
-        local_fit[improved] = fit[improved]
-        best = int(np.argmax(fit))
+        np.copyto(local_pos, positions, where=improved[:, None])
+        np.copyto(local_fit, fit, where=improved)
+        best = fit.argmax()
         if fit[best] > global_fit:
             global_fit = float(fit[best])
             global_pos = positions[best].copy()
         history.append((iteration, global_fit))
 
-    alphabet = PreChirpAlphabet(tuple(np.sort(global_pos)))
-    # re-scored alone: batched cosines may differ from it in the last bits
+    canon = np.sort(global_pos)[None]
+    # the class route of min_pair_objective on the same (1, lambda) array, so
+    # the fitness equals min_pair_objective(alphabet, ctx) exactly
     return PsoResult(
-        alphabet=alphabet,
-        fitness=min_pair_objective(alphabet, ctx),
+        alphabet=PreChirpAlphabet(tuple(canon[0].tolist())),
+        fitness=float(_class_objectives(canon, ctx).min()),
         history=tuple(history),
     )
 

@@ -282,6 +282,23 @@ def test_optimize_rejects_unknown_pso_key(config_path, capsys):
     assert "unknown pso parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("inertia=nan,particles=3,iterations=2", "inertia must be finite and positive, got nan"),
+        ("v_max=inf", "velocity_max must be finite and positive, got inf"),
+        ("particles=3.5", "pso parameter particles: cannot read '3.5' as int"),
+        ("inertia=fast", "pso parameter inertia: cannot read 'fast' as float"),
+    ],
+)
+def test_optimize_refuses_malformed_pso_values(spec, message, capsys):
+    # before the swarm runs: a NaN inertia used to return the unmoved heuristic
+    assert main(["optimize", "fig4", "--pso-params", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_alphabet_file_is_read_from_the_config_directory(
     config_path, tmp_path, monkeypatch, capsys
 ):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +70,23 @@ def test_context_rejects_too_many_paths():
         build_objective_context(CFG_PSK, 4)
 
 
+@pytest.mark.parametrize(
+    "n, count", [(7, "4,096"), (8, "32,768")], ids=["N7-G1", "N8-G1"]
+)
+def test_context_refuses_too_many_pattern_pairs_before_allocating(n, count):
+    # one group of N subcarriers: 2^floor(log2 N!) patterns, whose pairs would
+    # need an 8 GiB Hamming tensor at N = 8
+    cfg = SystemConfig(n_subcarriers=n, n_groups=1, alphabet_size=n, max_doppler=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{count} patterns make .* pattern pairs"):
+            build_objective_context(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10, peak
+
+
 def test_reduced_objective_basics():
     ctx = build_objective_context(CFG_PSK, 2)
     vals = np.array([0.2, 0.6])
@@ -126,7 +145,7 @@ def test_batched_pair_objectives_match_reduced_objective(cfg, p_paths):
     batched = optimizer._class_objectives(alphabets, ctx)[:, ctx.pair_class]
     for values, scores in zip(alphabets, batched):
         oracle = np.array([reduced_objective(values, ctx, pair) for pair in ctx.pairs])
-        single = optimizer._class_objectives(values, ctx)[0, ctx.pair_class]
+        single = optimizer._class_objectives(values[None], ctx)[0, ctx.pair_class]
         for route in (scores, single):
             assert np.array_equal(route == 0.0, oracle == 0.0)
             assert np.all(np.abs(route - oracle) <= 1e-12 * oracle)
@@ -140,6 +159,14 @@ def test_batched_pair_objectives_match_reduced_objective(cfg, p_paths):
     if cfg is FIG7.cfg:
         # uniform_heuristic(4) holds a difference of 1/2: 128 pairs vanish
         assert np.count_nonzero(batched[-1] == 0.0) == 128
+    # the +-1 product gives the differences c[hi] - c[lo] exactly, also far
+    # outside the box and between neighbouring floats
+    hi, lo = ctx.cos_diff.argmax(axis=0), ctx.cos_diff.argmin(axis=0)
+    assert np.all(lo < hi) and np.all(np.count_nonzero(ctx.cos_diff, axis=0) == 2)
+    wide = np.vstack(
+        [alphabets, rng.uniform(-3.0, 4.0, (8, lam)), 0.3 + np.arange(lam) * np.spacing(0.3)]
+    )
+    assert np.array_equal(wide @ ctx.cos_diff, wide[:, hi] - wide[:, lo])
 
 
 @pytest.mark.parametrize(
@@ -163,6 +190,8 @@ def test_pso_seed_42_alphabets_are_pinned(scenario, params, expected):
     ctx = build_objective_context(scenario.cfg, scenario.p_paths)
     res = pso_optimize(scenario.cfg, ctx, params, RandomSource(42).generator())
     assert res.alphabet.values == pytest.approx(expected, rel=0, abs=1e-9)
+    # the benchmark's check: the reported fitness is the public scorer's, exactly
+    assert res.fitness == min_pair_objective(res.alphabet, ctx)
 
 
 def test_pso_seed_42_default_fig7_swarm_is_pinned():
@@ -275,6 +304,44 @@ def test_swarm_fitness_walls_off_infeasible_positions():
     assert fit[4] == pytest.approx(min_pair_objective(uniform_heuristic(3), ctx), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cfg, p_paths", [(CFG_FIG4, 3), (FIG7.cfg, FIG7.p_paths)], ids=["fig4", "fig7"]
+)
+def test_swarm_fitness_masks_rows_far_outside_the_box(cfg, p_paths):
+    """Every row is scored before the infeasible ones are masked: rows far
+    outside (0, 1) or with repeated values give exactly -1 and no warning, and
+    each feasible row scores as it does alone, under a finite collision limit
+    (fig4) and an infinite one (fig7)."""
+    ctx = build_objective_context(cfg, p_paths)
+    lam = cfg.alphabet_size
+    rng = RandomSource(8).generator()
+    inside = np.sort(rng.uniform(0.05, 0.95, (6, lam)), axis=1)
+    outside = np.array(
+        [
+            np.full(lam, -3.0),
+            np.full(lam, 4.0),
+            np.linspace(-3.0, 4.0, lam),
+            np.r_[inside[0, :-1], 4.0],
+            np.r_[inside[0, :-1], inside[0, 0]],  # a repeated value
+        ]
+    )
+    positions = np.vstack([outside, inside, uniform_heuristic(lam)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = optimizer._swarm_fitness(positions, ctx)
+    assert fit[: len(outside)].tolist() == [-1.0] * len(outside)
+    feasible = fit > -1.0
+    # skipping the cosines of infeasible rows moves no feasible score
+    unmasked = optimizer._class_objectives(np.sort(positions, axis=1), ctx).min(axis=1)
+    assert np.array_equal(fit[feasible], unmasked[feasible])
+    assert feasible[-1]  # the heuristic is feasible on both geometries
+    for row, score in zip(positions[feasible], fit[feasible]):
+        alone = min_pair_objective(row, ctx)
+        assert abs(score - alone) <= 1e-12 * alone
+    for row in positions[len(outside) :][~feasible[len(outside) :]]:
+        assert collision_score(row, ctx) > ctx.collision_limit
+
+
 def test_uniform_heuristic_values():
     assert np.allclose(uniform_heuristic(3), [1 / 6, 3 / 6, 5 / 6])
     assert np.allclose(uniform_heuristic(1), [0.5])
@@ -315,11 +382,29 @@ def test_pso_output_feasible():
     assert res.fitness == pytest.approx(min_pair_objective(np.array(vals), ctx))
 
 
-def test_pso_params_validation():
-    with pytest.raises(ValueError):
-        PsoParams(n_particles=0)
-    with pytest.raises(ValueError):
-        PsoParams(velocity_max=-0.1)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_particles", 0),
+        ("n_particles", 3.5),
+        ("max_iterations", -1),
+        ("max_iterations", 2.0),
+        ("inertia", math.nan),
+        ("inertia", 0.0),
+        ("global_coeff", math.inf),
+        ("local_coeff", -math.inf),
+        ("velocity_max", -0.1),
+        ("velocity_max", math.nan),
+    ],
+)
+def test_pso_params_validation(field, value):
+    # NaN passes no comparison, so a check written as "value <= 0" admits it
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        PsoParams(**{field: value})
+
+
+def test_pso_params_accept_numpy_counts():
+    assert PsoParams(n_particles=np.int64(3), max_iterations=np.int32(0)).n_particles == 3
 
 
 def test_convergence_csv(tmp_path):
