@@ -308,10 +308,10 @@ def test_swarm_fitness_walls_off_infeasible_positions():
     "cfg, p_paths", [(CFG_FIG4, 3), (FIG7.cfg, FIG7.p_paths)], ids=["fig4", "fig7"]
 )
 def test_swarm_fitness_masks_rows_far_outside_the_box(cfg, p_paths):
-    """Every row is scored before the infeasible ones are masked: rows far
-    outside (0, 1) or with repeated values give exactly -1 and no warning, and
-    each feasible row scores as it does alone, under a finite collision limit
-    (fig4) and an infinite one (fig7)."""
+    """Every row goes through the scorer before the infeasible ones are masked:
+    rows far outside (0, 1) or with repeated values give exactly -1 and no
+    warning, and each feasible row scores as it does alone, under a finite
+    collision limit (fig4) and an infinite one (fig7)."""
     ctx = build_objective_context(cfg, p_paths)
     lam = cfg.alphabet_size
     rng = RandomSource(8).generator()
@@ -382,9 +382,9 @@ def test_pso_output_feasible():
     assert res.fitness == pytest.approx(min_pair_objective(np.array(vals), ctx))
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
+def test_pso_params_validation():
+    # NaN passes no comparison, so a check written as "value <= 0" admits it
+    for field, value in [
         ("n_particles", 0),
         ("n_particles", 3.5),
         ("max_iterations", -1),
@@ -395,12 +395,9 @@ def test_pso_output_feasible():
         ("local_coeff", -math.inf),
         ("velocity_max", -0.1),
         ("velocity_max", math.nan),
-    ],
-)
-def test_pso_params_validation(field, value):
-    # NaN passes no comparison, so a check written as "value <= 0" admits it
-    with pytest.raises(ValueError, match=rf"^{field} must be"):
-        PsoParams(**{field: value})
+    ]:
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            PsoParams(**{field: value})
 
 
 def test_pso_params_accept_numpy_counts():
