@@ -14,7 +14,7 @@ from .analysis import (
     spectral_efficiency,
 )
 from .channel import enumerate_placements
-from .config import RandomSource, read_config_file
+from .config import SECTION_KEYS, RandomSource, read_config_file, read_items, read_section
 from .mapping import save_alphabet
 from .optimizer import (
     PsoParams,
@@ -24,8 +24,8 @@ from .optimizer import (
 )
 from .simulate import (
     PRESETS,
+    Scenario,
     SweepInterrupted,
-    make_preset,
     run_scenario,
     scenario_from_sections,
     theory_points,
@@ -33,31 +33,31 @@ from .simulate import (
 )
 from .suites import SUITES, run_suites
 
-
-def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int | None:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get("SIM_SEED")
-    if env is not None:
-        return int(env)
-    return config_seed
+_ENV_KEYS = {"SIM_SEED": ("seed", int)}
 
 
-def _load_scenario_sections(config_arg: str, seed_flag: int | None):
-    """The scenario of a preset name or a config file, and the file's sections
-    ({} for a preset)."""
+def _load_inputs(config_arg: str, seed_flag: int | None) -> tuple[Scenario, PsoParams]:
+    """The scenario of a preset name or a config file, and the swarm tuning of
+    the file's [pso] section (the published tuning for a preset).
+
+    The seed is the flag's, then SIM_SEED's, then the file's, then 1.
+    """
     if config_arg in PRESETS:
-        return make_preset(config_arg, seed=_resolve_seed(seed_flag, None)), {}
-    sections = read_config_file(config_arg)
-    scenario = scenario_from_sections(sections, name=os.path.basename(config_arg))
-    seed = _resolve_seed(seed_flag, scenario.seed)
-    if seed is not None and seed != scenario.seed:
-        scenario = replace(scenario, seed=seed)
-    return scenario, sections
+        scenario, params = PRESETS[config_arg], PsoParams()
+    else:
+        sections = read_config_file(config_arg)
+        scenario = scenario_from_sections(sections, name=os.path.basename(config_arg))
+        params = PsoParams(**read_section(sections.get("pso", {}), "pso"))
+    env = os.environ.get("SIM_SEED")
+    if seed_flag is None and env is not None:
+        seed_flag = read_items({"SIM_SEED": env}, _ENV_KEYS, "environment variable")["seed"]
+    if seed_flag is not None:
+        scenario = replace(scenario, seed=seed_flag)
+    return scenario, params
 
 
-def _load_scenario(config_arg: str, seed_flag: int | None):
-    return _load_scenario_sections(config_arg, seed_flag)[0]
+def _load_scenario(config_arg: str, seed_flag: int | None) -> Scenario:
+    return _load_inputs(config_arg, seed_flag)[0]
 
 
 def _write_points(points, scenario, path: str | None) -> None:
@@ -85,42 +85,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pso_overrides(spec: str | None, base: PsoParams) -> PsoParams:
-    if not spec:
-        return base
-    mapping = {
-        "particles": ("n_particles", int),
-        "iterations": ("max_iterations", int),
-        "inertia": ("inertia", float),
-        "global_coeff": ("global_coeff", float),
-        "local_coeff": ("local_coeff", float),
-        "v_max": ("velocity_max", float),
-    }
-    kwargs = {}
-    for token in spec.split(","):
-        key, _, raw = token.partition("=")
-        key = key.strip()
-        if key not in mapping:
-            raise ValueError(f"unknown pso parameter {key!r}; choices: {sorted(mapping)}")
-        field, cast = mapping[key]
-        try:
-            kwargs[field] = cast(raw)
-        except ValueError:
-            raise ValueError(
-                f"pso parameter {key}: cannot read {raw.strip()!r} as {cast.__name__}"
-            ) from None
-    return replace(base, **kwargs)
-
-
-def _pso_params_from_sections(sections) -> PsoParams:
-    items = sections.get("pso", {})
-    spec = ",".join(f"{k}={v}" for k, v in items.items()) if items else None
-    return _parse_pso_overrides(spec, PsoParams())
-
-
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    scenario, sections = _load_scenario_sections(args.config, args.seed)
-    params = _parse_pso_overrides(args.pso_params, _pso_params_from_sections(sections))
+    scenario, params = _load_inputs(args.config, args.seed)
+    if args.pso_params:
+        tokens = (token.partition("=") for token in args.pso_params.split(","))
+        overrides = {key.strip(): raw for key, _, raw in tokens}
+        params = replace(params, **read_items(overrides, SECTION_KEYS["pso"], "pso parameter"))
     ctx = build_objective_context(scenario.cfg, scenario.p_paths)
     result = pso_optimize(scenario.cfg, ctx, params, RandomSource(scenario.seed).generator())
     if args.out:

@@ -7,6 +7,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -165,43 +166,114 @@ class RandomSource:
 
 # --- key = value configuration files -------------------------------------
 
-_SYSTEM_INT_FIELDS = (
-    "n_subcarriers",
-    "n_groups",
-    "alphabet_size",
-    "constellation_order",
-    "max_delay",
-    "max_doppler",
-    "cpp_length",
-)
+
+def floats(raw: str) -> tuple[float, ...]:
+    """A list of numbers separated by spaces or commas."""
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def boolean(raw: str) -> bool:
+    """true/yes/on/1 or false/no/off/0, in any case."""
+    word = raw.strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(word)
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
+
+
+# every key of every section: key -> (field it sets, how its text is read)
+SECTION_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "system": {
+        "n_subcarriers": ("n_subcarriers", int),
+        "n_groups": ("n_groups", int),
+        "alphabet_size": ("alphabet_size", int),
+        "constellation_order": ("constellation_order", int),
+        "constellation_kind": ("constellation_kind", str.strip),
+        "max_delay": ("max_delay", int),
+        "max_doppler": ("max_doppler", int),
+        "cpp_length": ("cpp_length", int),
+        "post_chirp": ("post_chirp", float),
+    },
+    "alphabet": {"values": ("values", floats), "file": ("file", str)},
+    "channel": {"paths": ("p_paths", int)},
+    "simulation": {
+        "name": ("name", str),
+        "snr_db": ("snr_grid_db", floats),
+        "snr_db_start": ("start", float),
+        "snr_db_stop": ("stop", float),
+        "snr_db_step": ("step", float),
+        "min_bits": ("min_bits", int),
+        "min_errors": ("min_errors", int),
+        "seed": ("seed", int),
+        "include_theory": ("include_theory", boolean),
+    },
+    "pso": {
+        "particles": ("n_particles", int),
+        "iterations": ("max_iterations", int),
+        "inertia": ("inertia", float),
+        "global_coeff": ("global_coeff", float),
+        "local_coeff": ("local_coeff", float),
+        "v_max": ("velocity_max", float),
+    },
+}
+
+
+def read_items(
+    items: Mapping[str, str],
+    keys: Mapping[str, tuple[str, Callable[[str], object]]],
+    label: str,
+) -> dict[str, object]:
+    """{field: value} of key = text items, each read as `keys` says.
+
+    An unknown key or an unreadable value raises ValueError naming the key.
+    """
+    fields = {}
+    for key, raw in items.items():
+        if key not in keys:
+            raise ValueError(f"unknown {label} {key!r}; choices: {sorted(keys)}")
+        field, cast = keys[key]
+        try:
+            fields[field] = cast(raw)
+        except ValueError:
+            raise ValueError(
+                f"{label} {key}: cannot read {raw.strip()!r} as {cast.__name__}"
+            ) from None
+    return fields
+
+
+def read_section(items: Mapping[str, str], name: str) -> dict[str, object]:
+    """Read the items of config-file section `name` through its `SECTION_KEYS` table."""
+    return read_items(items, SECTION_KEYS[name], f"[{name}] key")
 
 
 def read_config_file(path: str) -> dict[str, dict[str, str]]:
     """Parse a sectioned key = value file into {section: {key: value}}.
 
-    A relative ``[alphabet] file`` path is resolved against the directory of
+    A malformed file or a section outside `SECTION_KEYS` raises ValueError. A
+    relative ``[alphabet] file`` path is resolved against the directory of
     the config file, not the working directory.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValueError(
+            f"{path}, line {exc.lineno}: {exc.line.strip()!r} comes before any [section]"
+        ) from None
+    except configparser.InterpolationError as exc:
+        raise ValueError(f"[{exc.section}] key {exc.option}: {exc.message}") from None
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from None
+    for name in sections:
+        if name not in SECTION_KEYS:
+            raise ValueError(f"unknown section [{name}]; choices: {sorted(SECTION_KEYS)}")
     alphabet = sections.get("alphabet", {})
     if "file" in alphabet:
         alphabet["file"] = os.path.join(os.path.dirname(path), alphabet["file"])
     return sections
 
 
-def system_config_from_items(items: dict[str, str]) -> SystemConfig:
+def system_config_from_items(items: Mapping[str, str]) -> SystemConfig:
     """Build a SystemConfig from a [system] section; keys map 1:1 onto fields."""
-    kwargs: dict[str, object] = {}
-    for key, raw in items.items():
-        if key in _SYSTEM_INT_FIELDS:
-            kwargs[key] = int(raw)
-        elif key == "constellation_kind":
-            kwargs[key] = raw.strip()
-        elif key == "post_chirp":
-            kwargs[key] = float(raw)
-        else:
-            raise ValueError(f"unknown [system] key {key!r}")
-    return SystemConfig(**kwargs)
+    return SystemConfig(**read_section(items, "system"))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -44,8 +45,6 @@ class ObjectiveContext:
     patterns: np.ndarray  # (K, N) alphabet indices
     pairs: tuple[tuple[int, int], ...]
     col_index: np.ndarray  # (R, P, N) = (row + offset) mod N
-    col_sq: np.ndarray  # col_index ** 2
-    row_sq: np.ndarray  # (N,) row ** 2
     # Hamming-2 pairs are transpositions; pairs sharing (u, v, a, b) score alike
     pair_class: np.ndarray  # (n_pairs,) index of each pair's class
     # (lambda, D): +1 in row hi and -1 in row lo of each column, lo < hi; a
@@ -54,10 +53,11 @@ class ObjectiveContext:
     cos_diff: np.ndarray
     cos_args: np.ndarray  # (D,) 2 pi |m|, m an integer multiplier
     cos_weights: np.ndarray  # (D, Q) how many (placement, path, row) terms of a class
-    # per support size: (subcarriers, alphabet index a, alphabet index b), each (T, s)
-    collision_terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    # distinct symbol pairs (x, x'): |x|^2 + |x'|^2, x conj(x'), multiplicity
-    symbol_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # per support size s: (subcarriers, alphabet index a, alphabet index b), each
+    # (T, s), and the multiplicity of each of the O^s symbol-pair combinations
+    collision_terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    # the O distinct symbol pairs (x, x'): |x|^2 + |x'|^2 and x conj(x')
+    symbol_pairs: tuple[np.ndarray, np.ndarray]
     collision_limit: float
 
 
@@ -98,6 +98,7 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
     for r, geometry in enumerate(placements):
         for p, (d, a) in enumerate(geometry):
             col_index[r, p] = (row + path_offset(cfg, d, a)) % n
+    energy, corr, count = _symbol_pairs(cfg)
     ctx = ObjectiveContext(
         cfg=cfg,
         p_paths=p_paths,
@@ -105,11 +106,12 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
         patterns=patterns,
         pairs=tuple(zip(pair_j.tolist(), pair_k.tolist())),
         col_index=col_index,
-        col_sq=col_index.astype(float) ** 2,
-        row_sq=row.astype(float) ** 2,
         **_pair_classes(patterns[pair_j], patterns[pair_k], col_index, lam),
-        collision_terms=_collision_terms(group_patterns, cfg),
-        symbol_pairs=_symbol_pairs(cfg),
+        collision_terms=tuple(
+            (sub, ia, ib, reduce(np.multiply.outer, [count] * sub.shape[1]).ravel())
+            for sub, ia, ib in _collision_terms(group_patterns, cfg)
+        ),
+        symbol_pairs=(energy, corr),
         collision_limit=math.inf,
     )
     limit = collision_score(uniform_heuristic(lam), ctx) * 10 ** (
@@ -127,8 +129,10 @@ def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray, lam: in
     elsewhere, so its reduced objective depends only on (u, v, a, b). A term
     of `reduced_objective` is non-zero only where its column or its row is u
     or v; its argument is then 2 pi m delta with m = A - B, where A = u^2, -v^2
-    or 0 from the column and B likewise from the row. cos is even, so the term
-    depends only on (min(a, b), max(a, b), |m|), a key many classes share.
+    or 0 from the column and B likewise from the row. So |m| is u^2 where one
+    of them is u and the other neither u nor v, v^2 likewise, and u^2 + v^2
+    where one is u and the other v. cos is even, so the term depends only on
+    (min(a, b), max(a, b), |m|), a key many classes share.
     """
     n = col_index.shape[-1]
     sub = np.arange(n)
@@ -141,21 +145,19 @@ def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray, lam: in
     cu, cv = keys[:, 0], keys[:, 1]
     # hits[n, m]: how many (placement, path) read column m on row n
     hits = np.bincount((sub * n + col_index).ravel(), minlength=n * n).reshape(n, n)
-    hu, hv = hits[:, cu].T, hits[:, cv].T  # (Q, N)
-    # per row, the (placement, path) count of column code 0: other, 1: u, 2: v
-    col_count = np.stack([col_index.size // n - hu - hv, hu, hv], axis=1)  # (Q, 3, N)
-    row_code = (sub == cu[:, None]) + 2 * (sub == cv[:, None])  # (Q, N)
-    weight = np.einsum("qcn,qnr->qcr", col_count, np.eye(3, dtype=np.int64)[row_code])
-    coeff = np.stack([np.zeros_like(cu), cu**2, -(cv**2)], axis=1)  # (Q, 3) per code
-    multiplier = np.abs(coeff[:, :, None] - coeff[:, None, :])  # (Q, 3, 3): |A - B|
-    # a zero multiplier (code (0, 0), (1, 1), (2, 2), or u = 0) gives a zero term
-    q, c, r = np.nonzero((multiplier > 0) & (weight > 0))
+    # own[x]: the terms whose column or row, not both, is x; cross: u and v
+    own = hits.sum(axis=0) + hits.sum(axis=1) - 2 * np.diag(hits)
+    cross = hits[cu, cv] + hits[cv, cu]
+    weight = np.stack([own[cu] - cross, own[cv] - cross, cross], axis=1)  # (Q, 3)
+    multiplier = np.stack([cu**2, cv**2, cu**2 + cv**2], axis=1)
+    # a zero multiplier (u = 0) gives a zero term
+    q, c = np.nonzero((multiplier > 0) & (weight > 0))
     lo_hi = np.sort(keys[:, 2:], axis=1)[q]
     cos_keys, slot = np.unique(
-        np.column_stack([lo_hi, multiplier[q, c, r]]), axis=0, return_inverse=True
+        np.column_stack([lo_hi, multiplier[q, c]]), axis=0, return_inverse=True
     )
     cos_weights = np.zeros((len(cos_keys), len(keys)))
-    np.add.at(cos_weights, (slot.reshape(-1), q), weight[q, c, r])
+    np.add.at(cos_weights, (slot.reshape(-1), q), weight[q, c])
     cos_diff = np.zeros((lam, len(cos_keys)))
     column = np.arange(len(cos_keys))
     cos_diff[cos_keys[:, 1], column] = 1.0
@@ -233,35 +235,33 @@ def reduced_objective(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]) ->
     j, k = _check_pair(ctx, pair)
     vals = _values_of(alphabet)
     diff = vals[ctx.patterns[k]] - vals[ctx.patterns[j]]  # (N,)
-    delta_theta = 2 * np.pi * (diff[ctx.col_index] * ctx.col_sq - diff * ctx.row_sq)
+    col_sq = ctx.col_index.astype(float) ** 2
+    row_sq = np.arange(len(diff)).astype(float) ** 2
+    delta_theta = 2 * np.pi * (diff[ctx.col_index] * col_sq - diff * row_sq)
     return float(np.sum(1.0 - np.cos(delta_theta)))
 
 
 def _collision_scores(values: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     """Collision score of a batch of alphabets: (F, lambda) -> (F,)."""
     vals = np.atleast_2d(np.asarray(values, dtype=float))
-    energy, corr, count = ctx.symbol_pairs
+    energy, corr = ctx.symbol_pairs
     total = np.zeros(vals.shape[0])
-    for sub, ia, ib in ctx.collision_terms:
-        n_terms, size = sub.shape
-        per_chunk = n_terms * len(count) ** size
-        step = max(1, _BATCH_ELEMENTS // per_chunk)
-        weight = count
-        for _ in range(1, size):
-            weight = np.outer(weight, count).ravel()
-        for lo in range(0, vals.shape[0], step):
-            v = vals[lo : lo + step]
-            phase = np.exp(2j * np.pi * (v[:, ia] - v[:, ib]) * sub**2)  # (F, T, s)
-            # |x e^{i phi} - x'|^2 for every distinct (x, x') on every subcarrier
-            per_sub = energy - 2.0 * np.real(corr * phase[..., None])  # (F, T, s, O)
-            dist = per_sub[:, :, 0]
-            for k in range(1, size):
-                dist = (dist[..., None] + per_sub[:, :, k, None, :]).reshape(
-                    v.shape[0], n_terms, -1
-                )
-            with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for sub, ia, ib, weight in ctx.collision_terms:
+            n_terms, size = sub.shape
+            step = max(1, _BATCH_ELEMENTS // (n_terms * len(weight)))
+            for lo in range(0, vals.shape[0], step):
+                v = vals[lo : lo + step]
+                phase = np.exp(2j * np.pi * (v[:, ia] - v[:, ib]) * sub**2)  # (F, T, s)
+                # |x e^{i phi} - x'|^2 for every distinct (x, x') on every subcarrier
+                per_sub = energy - 2.0 * np.real(corr * phase[..., None])  # (F, T, s, O)
+                dist = per_sub[:, :, 0]
+                for k in range(1, size):
+                    dist = (dist[..., None] + per_sub[:, :, k, None, :]).reshape(
+                        v.shape[0], n_terms, -1
+                    )
                 inv = np.maximum(dist, 0.0) ** -float(ctx.p_paths)
-            total[lo : lo + step] += np.sum(weight * inv, axis=(1, 2))
+                total[lo : lo + step] += np.sum(weight * inv, axis=(1, 2))
     return total
 
 

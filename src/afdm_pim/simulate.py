@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .analysis import abep_curve_jakes
 from .channel import ChannelRealization, apply_channel_batch, complex_awgn, draw_paths
-from .config import RandomSource, SystemConfig, system_config_from_items
+from .config import RandomSource, SystemConfig, read_section, system_config_from_items
 from .detection import MLDetector, count_bit_errors
 from .mapping import PreChirpAlphabet, frame_bit_count, load_alphabet
 from .transceiver import add_cpp
@@ -223,90 +223,50 @@ def _bpsk(n, g, lam, d_max, a_max):
 
 _DEFAULT_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
 
-
-def _preset_fig4() -> Scenario:
-    return Scenario(
-        name="fig4",
-        cfg=_bpsk(6, 2, 3, 1, 1),
-        alphabet=PreChirpAlphabet(TABLE_ALPHABETS[3]),
-        p_paths=3,
-        snr_grid_db=_DEFAULT_GRID,
+# Scenario(name, cfg, alphabet, p_paths, snr_grid_db, ...), _bpsk(N, G, lambda, d_max, a_max)
+PRESETS: dict[str, Scenario] = {
+    scenario.name: scenario
+    for scenario in (
+        Scenario(
+            "fig4", _bpsk(6, 2, 3, 1, 1), PreChirpAlphabet(TABLE_ALPHABETS[3]), 3, _DEFAULT_GRID
+        ),
+        # theory disabled: the bound's pair enumeration is quadratic in 2^16
+        Scenario(
+            "fig7_pim", _bpsk(8, 2, 4, 1, 2), PreChirpAlphabet(TABLE_ALPHABETS[4]), 3,
+            _DEFAULT_GRID, include_theory=False,
+        ),
+        Scenario(
+            "fig8_lo", _bpsk(4, 2, 2, 0, 1), PreChirpAlphabet(TABLE_ALPHABETS[2]), 3, _DEFAULT_GRID
+        ),
+        Scenario(
+            "fig8_hi", _bpsk(4, 2, 2, 0, 2), PreChirpAlphabet(TABLE_ALPHABETS[2]), 3, _DEFAULT_GRID
+        ),
+        # classic single-pre-chirp waveform at spectral efficiency 2 (QPSK, N=8);
+        # with one alphabet value the index machinery collapses (b2 = 0)
+        Scenario(
+            "baseline_afdm",
+            SystemConfig(
+                n_subcarriers=8, n_groups=1, alphabet_size=1, constellation_order=4,
+                max_delay=2, max_doppler=2, cpp_length=2,
+            ),
+            PreChirpAlphabet((0.5,)), 4, _DEFAULT_GRID, include_theory=False,
+        ),
     )
-
-
-def _preset_fig7_pim() -> Scenario:
-    # theory disabled: the bound's pair enumeration is quadratic in 2^16
-    return Scenario(
-        name="fig7_pim",
-        cfg=_bpsk(8, 2, 4, 1, 2),
-        alphabet=PreChirpAlphabet(TABLE_ALPHABETS[4]),
-        p_paths=3,
-        snr_grid_db=_DEFAULT_GRID,
-        include_theory=False,
-    )
-
-
-def _preset_fig8(a_max: int, name: str) -> Scenario:
-    return Scenario(
-        name=name,
-        cfg=_bpsk(4, 2, 2, 0, a_max),
-        alphabet=PreChirpAlphabet(TABLE_ALPHABETS[2]),
-        p_paths=3,
-        snr_grid_db=_DEFAULT_GRID,
-    )
-
-
-def _preset_baseline_afdm() -> Scenario:
-    # classic single-pre-chirp waveform at spectral efficiency 2 (QPSK, N=8);
-    # with one alphabet value the index machinery collapses (b2 = 0)
-    cfg = SystemConfig(
-        n_subcarriers=8,
-        n_groups=1,
-        alphabet_size=1,
-        constellation_order=4,
-        constellation_kind="PSK",
-        max_delay=2,
-        max_doppler=2,
-        cpp_length=2,
-    )
-    return Scenario(
-        name="baseline_afdm",
-        cfg=cfg,
-        alphabet=PreChirpAlphabet((0.5,)),
-        p_paths=4,
-        snr_grid_db=_DEFAULT_GRID,
-        include_theory=False,
-    )
-
-
-PRESETS: dict[str, Callable[[], Scenario]] = {
-    "fig4": _preset_fig4,
-    "fig7_pim": _preset_fig7_pim,
-    "fig8_lo": lambda: _preset_fig8(1, "fig8_lo"),
-    "fig8_hi": lambda: _preset_fig8(2, "fig8_hi"),
-    "baseline_afdm": _preset_baseline_afdm,
 }
 
 
 def make_preset(name: str, seed: int | None = None) -> Scenario:
     try:
-        scenario = PRESETS[name]()
+        scenario = PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}") from None
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    return scenario
+    return scenario if seed is None else replace(scenario, seed=seed)
 
 
 # --- scenario assembly from configuration files ----------------------------
 
 
-def _parse_snr_grid(items: dict[str, str]) -> tuple[float, ...]:
-    if "snr_db" in items:
-        return tuple(float(tok) for tok in items["snr_db"].replace(",", " ").split())
-    start = float(items.get("snr_db_start", 0.0))
-    stop = float(items.get("snr_db_stop", 25.0))
-    step = float(items.get("snr_db_step", 5.0))
+def _snr_range(start: float = 0.0, stop: float = 25.0, step: float = 5.0) -> tuple[float, ...]:
     if step <= 0:
         raise ValueError("snr_db_step must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -315,11 +275,11 @@ def _parse_snr_grid(items: dict[str, str]) -> tuple[float, ...]:
 
 def alphabet_from_items(items: dict[str, str], expected_size: int) -> PreChirpAlphabet:
     """[alphabet] section: inline values, an alphabet file, or the published table."""
-    if "values" in items:
-        vals = tuple(float(tok) for tok in items["values"].replace(",", " ").split())
-        return PreChirpAlphabet(vals)
-    if "file" in items:
-        return PreChirpAlphabet(load_alphabet(items["file"]).values)
+    fields = read_section(items, "alphabet")
+    if "values" in fields:
+        return PreChirpAlphabet(fields["values"])
+    if "file" in fields:
+        return load_alphabet(fields["file"])
     if expected_size in TABLE_ALPHABETS:
         return PreChirpAlphabet(TABLE_ALPHABETS[expected_size])
     raise ValueError(
@@ -331,23 +291,18 @@ def alphabet_from_items(items: dict[str, str], expected_size: int) -> PreChirpAl
 def scenario_from_sections(
     sections: dict[str, dict[str, str]], name: str = "custom"
 ) -> Scenario:
-    """Assemble a Scenario from parsed config-file sections."""
+    """Assemble a Scenario from parsed config-file sections.
+
+    `snr_db` lists the grid; without it, snr_db_start/stop/step span it.
+    """
     if "system" not in sections:
         raise ValueError("configuration is missing the [system] section")
     cfg = system_config_from_items(sections["system"])
     alphabet = alphabet_from_items(sections.get("alphabet", {}), cfg.alphabet_size)
-    chan = sections.get("channel", {})
-    p_paths = int(chan.get("paths", 1))
-    sim = sections.get("simulation", {})
-    return Scenario(
-        name=sim.get("name", name),
-        cfg=cfg,
-        alphabet=alphabet,
-        p_paths=p_paths,
-        snr_grid_db=_parse_snr_grid(sim),
-        min_bits=int(sim.get("min_bits", 100_000)),
-        min_errors=int(sim.get("min_errors", 100)),
-        seed=int(sim.get("seed", 1)),
-        include_theory=sim.get("include_theory", "true").strip().lower()
-        in ("1", "true", "yes", "on"),
-    )
+    fields = {"name": name, "p_paths": 1}
+    fields.update(read_section(sections.get("channel", {}), "channel"))
+    fields.update(read_section(sections.get("simulation", {}), "simulation"))
+    ramp = {key: fields.pop(key) for key in ("start", "stop", "step") if key in fields}
+    if "snr_grid_db" not in fields:
+        fields["snr_grid_db"] = _snr_range(**ramp)
+    return Scenario(cfg=cfg, alphabet=alphabet, **fields)

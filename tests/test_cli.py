@@ -1,13 +1,15 @@
 import io
+from pathlib import Path
 
 import pytest
 
 from afdm_pim import cli, simulate
 from afdm_pim.cli import main
 from afdm_pim.detection import MLDetector
-from afdm_pim.config import RandomSource
+from afdm_pim.config import SECTION_KEYS, RandomSource, read_config_file, read_section
 from afdm_pim.mapping import load_alphabet
 from afdm_pim.optimizer import PsoParams, build_objective_context, pso_optimize
+from afdm_pim.simulate import scenario_from_sections
 
 CONFIG_TEXT = """\
 [system]
@@ -350,3 +352,79 @@ def test_preset_name_accepted_as_config(tmp_path, monkeypatch):
     assert sc.name == "fig8_lo"
     monkeypatch.setenv("SIM_SEED", "77")
     assert _load_scenario("fig8_lo", None).seed == 77
+
+
+# (text in CONFIG_TEXT plus a [pso] section, its typo, what the error names)
+TYPOS = {
+    "system-key": ("max_delay = 0", "max_dealy = 0", "unknown [system] key 'max_dealy'"),
+    "alphabet-key": ("values = 0.2 0.6", "value = 0.2 0.6", "unknown [alphabet] key 'value'"),
+    "channel-key": ("paths = 2", "path = 2", "unknown [channel] key 'path'"),
+    "simulation-key": ("min_bits = 2000", "min_bit = 2000", "unknown [simulation] key 'min_bit'"),
+    "pso-key": ("particles = 4", "partcles = 4", "unknown [pso] key 'partcles'"),
+    "section": ("[simulation]", "[simulaton]", "unknown section [simulaton]"),
+    "no-header": ("[system]\n", "", "'n_subcarriers = 4' comes before any [section]"),
+    "duplicate": ("paths = 2", "paths = 2\npaths = 3", "option 'paths' in section 'channel'"),
+    "interpolation": (
+        "min_bits = 2000",
+        "min_bits = 2000%",
+        "[simulation] key min_bits: '%' must be followed by '%' or '('",
+    ),
+    "boolean": (
+        "include_theory = false",
+        "include_theory = ture",
+        "[simulation] key include_theory: cannot read 'ture' as boolean",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "analyze"])
+@pytest.mark.parametrize("typo", list(TYPOS))
+def test_config_typos_exit_2_naming_the_key(typo, command, tmp_path, capsys):
+    # each used to run another experiment (exit 0) or end in a traceback (exit 1)
+    old, new, named = TYPOS[typo]
+    text = CONFIG_TEXT + "\n[pso]\nparticles = 4\niterations = 1\n"
+    assert old in text
+    path = tmp_path / "typo.cfg"
+    path.write_text(text.replace(old, new, 1))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+def test_unknown_pso_parameter_exits_2_naming_it(config_path, tmp_path, capsys):
+    out = tmp_path / "alpha.txt"
+    args = ["optimize", config_path, "--pso-params", "particles=4,swarm=9", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown pso parameter 'swarm'") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["fig8_lo", "file"])
+def test_non_integer_sim_seed_exits_2_naming_it(
+    config, config_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("SIM_SEED", "4x")
+    out = tmp_path / "out.csv"
+    source = config_path if config == "file" else config
+    assert main(["simulate", source, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: environment variable SIM_SEED: cannot read '4x' as int\n"
+    assert not out.exists()
+    # the flag comes first, so SIM_SEED is not read
+    assert cli._load_scenario(source, 3).seed == 3
+
+
+def test_readme_config_example_is_read(tmp_path):
+    # the README's ini block is the fig4 preset with the published swarm tuning
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```ini\n")
+    assert len(blocks) == 2
+    path = tmp_path / "fig4.cfg"
+    path.write_text(blocks[1].split("```")[0])
+    sections = read_config_file(str(path))
+    assert set(sections) == set(SECTION_KEYS)
+    assert scenario_from_sections(sections, name="fig4") == simulate.PRESETS["fig4"]
+    assert PsoParams(**read_section(sections["pso"], "pso")) == PsoParams()
