@@ -8,6 +8,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .config import SystemConfig
+from .transceiver import add_cpp
 
 _LOC_INT_TOL = 1e-9
 
@@ -75,17 +76,26 @@ def apply_channel_batch(
 
     The Doppler phase is referenced to the first post-prefix sample (n = 0), and
     samples before the frame start are zero; the prefix absorbs the delay tail.
+    A negative delay, a delay beyond the prefix or a Doppler outside
+    [-a_max, a_max] raises ValueError.
     """
     frames, total = prefixed.shape
     n = cfg.n_subcarriers
+    if cfg.cpp_length < int(np.max(delays)):
+        raise ValueError("prefix shorter than the realization's maximum delay")
+    if int(np.min(delays)) < 0:
+        raise ValueError("path delays must be non-negative")
+    if int(np.max(np.abs(dopplers))) > cfg.max_doppler:
+        # the delay-Doppler grid ends at max_doppler; beyond it a Doppler aliases modulo N
+        raise ValueError(f"path Dopplers must lie in [-{cfg.max_doppler}, {cfg.max_doppler}]")
     time_rel = np.arange(total) - cfg.cpp_length
     rows = np.arange(frames)[:, None]
+    # L zeros before each frame: sample n - d_p is padded[n + L - d_p], and d_p <= L
+    lead = cfg.cpp_length - delays
+    padded = np.concatenate([np.zeros((frames, cfg.cpp_length), complex), prefixed], axis=1)
     received = np.zeros_like(prefixed)
     for p in range(gains.shape[1]):
-        idx = np.arange(total)[None, :] - delays[:, p][:, None]
-        valid = idx >= 0
-        shifted = prefixed[rows, np.where(valid, idx, 0)]
-        shifted[~valid] = 0.0
+        shifted = padded[rows, np.arange(total)[None, :] + lead[:, p][:, None]]
         phase = np.exp(-2j * np.pi * (dopplers[:, p][:, None] / n) * time_rel[None, :])
         received += gains[:, p][:, None] * shifted * phase
     return received
@@ -113,17 +123,8 @@ def apply_channel_time(
     total = cfg.n_subcarriers + cfg.cpp_length
     if s_prefixed.shape != (total,):
         raise ValueError(f"expected a prefixed frame of length {total}")
-    if cfg.cpp_length < int(np.max(ch.delays)):
-        raise ValueError("prefix shorter than the realization's maximum delay")
-    if int(np.min(ch.delays)) < 0:
-        raise ValueError("path delays must be non-negative")
-    if int(np.max(np.abs(ch.dopplers))) > cfg.max_doppler:
-        # the delay-Doppler grid ends at max_doppler; beyond it a Doppler aliases modulo N
-        raise ValueError(
-            f"path Dopplers must lie in [-{cfg.max_doppler}, {cfg.max_doppler}]"
-        )
-    paths = (ch.gains[None, :], ch.delays[None, :], ch.dopplers[None, :])
-    received = apply_channel_batch(s_prefixed[None, :], *paths, cfg)[0]
+    paths = (ch.gains[None], ch.delays[None], ch.dopplers[None])
+    received = apply_channel_batch(s_prefixed[None], *paths, cfg)[0]
     if noise_variance > 0.0:
         if rng is None:
             raise ValueError("rng required when noise_variance > 0")
@@ -145,36 +146,20 @@ def path_offset(cfg: SystemConfig, delay: int, doppler: int) -> int:
     return (doppler + round(step)) % n
 
 
-def cpp_phase_profile(cfg: SystemConfig, delay: int) -> np.ndarray:
-    """Prefix correction omega_{p,n}: phase for n < d_p, one elsewhere."""
-    n = cfg.n_subcarriers
-    idx = np.arange(n)
-    omega = np.ones(n, dtype=complex)
-    head = idx < delay
-    omega[head] = np.exp(
-        -2j * np.pi * cfg.post_chirp * (n**2 - 2 * n * (delay - idx[head]))
-    )
-    return omega
-
-
 def path_time_operator(cfg: SystemConfig, delay: int, doppler: int) -> np.ndarray:
-    """Unit-gain circular time-domain operator Gamma * Delta * Pi^d for one path."""
+    """Unit-gain circular time-domain operator (N, N) of one path: column k is
+    the prefix-free body that `apply_channel_batch` returns for the prefixed
+    unit frame e_k, so the prefix correction comes from `add_cpp` itself."""
     n = cfg.n_subcarriers
-    idx = np.arange(n)
-    gamma = cpp_phase_profile(cfg, delay)
-    delta = np.exp(-2j * np.pi * (doppler / n) * idx)
-    op = np.zeros((n, n), dtype=complex)
-    op[idx, (idx - delay) % n] = gamma * delta
-    return op
+    path = np.ones((n, 1), dtype=complex), np.full((n, 1), delay), np.full((n, 1), doppler)
+    bodies = apply_channel_batch(add_cpp(np.eye(n), cfg), *path, cfg)[:, cfg.cpp_length :]
+    return np.ascontiguousarray(bodies.T)
 
 
 def time_domain_operator(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarray:
-    """Circular operator H with r = H s for prefix-free frames (noise excluded)."""
-    n = cfg.n_subcarriers
-    out = np.zeros((n, n), dtype=complex)
-    for h, d, a in zip(ch.gains, ch.delays, ch.dopplers):
-        out += h * path_time_operator(cfg, int(d), int(a))
-    return out
+    """Circular operator H = sum_p h_p H_p, r = H s on prefix-free frames (no noise)."""
+    paths = zip(ch.gains, ch.delays, ch.dopplers)
+    return sum(h * path_time_operator(cfg, int(d), int(a)) for h, d, a in paths)
 
 
 def delay_doppler_cells(cfg: SystemConfig) -> tuple[tuple[int, int], ...]:

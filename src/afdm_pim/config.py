@@ -252,7 +252,8 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
     relative ``[alphabet] file`` path is resolved against the directory of
     the config file, not the working directory.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header names the empty section, so [DEFAULT] is an ordinary (unknown) section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

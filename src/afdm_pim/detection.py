@@ -22,6 +22,8 @@ from .transceiver import chirp_basis
 
 Geometry = Sequence[tuple[int, int]]
 
+INJECTIVE_TOL = 1e-9  # head or tail values this close in every entry give two payloads one frame
+
 
 @lru_cache(maxsize=8)
 def codeword_time_signals(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> np.ndarray:
@@ -98,6 +100,13 @@ def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> FactorTab
     head = np.concatenate([heads[:, :k], -np.ones((len(heads), 1))], axis=1)
     tails = _prechirped(alphabet, *codeword_rows(cfg, np.arange(n_tail)))
     tail = np.ascontiguousarray(tails[:, k:])
+    for part, rows, step in (("head", heads[:, :k], n_tail), ("tail", tail, 1)):
+        if (shared := _shared_row(rows)) is not None:
+            first, second = (f"{row * step:0{frame_bit_count(cfg)}b}" for row in shared)
+            raise ValueError(
+                f"the codebook cannot carry its bits: payloads {first} and {second} "
+                f"share one frame (their {part} values agree within {INJECTIVE_TOL:g})"
+            )
     basis = _synthesis(cfg)
     grid = delay_doppler_cells(cfg)
     cells = np.stack([(basis @ path_time_operator(cfg, *cell).T).ravel() for cell in grid])
@@ -112,6 +121,25 @@ def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> FactorTab
     for array in (head, tail, tables.head_forms, tables.tail_forms, cells):
         array.flags.writeable = False
     return tables
+
+
+def _shared_row(rows: np.ndarray) -> tuple[int, int] | None:
+    """Two rows that agree within INJECTIVE_TOL in every entry, or None. Such rows
+    have weighted entry sums within INJECTIVE_TOL * sum(w), so only rows that close
+    in a sort by that sum are compared, one offset at a time: no table of row pairs."""
+    w = np.linspace(1.0, 2.0, 2 * rows.shape[1])
+    keys = np.concatenate([rows.real, rows.imag], axis=1) @ w
+    order = np.argsort(keys)
+    keys = keys[order]
+    for shift in range(1, len(rows)):
+        near = np.flatnonzero(keys[shift:] - keys[:-shift] <= INJECTIVE_TOL * w.sum())
+        if near.size == 0:
+            return None
+        gaps = np.abs(rows[order[near + shift]] - rows[order[near]]).max(axis=1)
+        hits = near[gaps <= INJECTIVE_TOL]
+        if hits.size:
+            return tuple(sorted((int(order[hits[0]]), int(order[hits[0] + shift]))))
+    return None
 
 
 def _form_rows(values: np.ndarray, first: int, width: int) -> np.ndarray:
@@ -175,8 +203,9 @@ class MLDetector:
     rows, beta_j = y_j G_tt y_j^H / 2 over the tail rows, and G_ht is the
     block between them. alpha and beta are linear in G, and one C_h x C_t real
     product over 2 n_t + 2 columns gives every metric. The search stays
-    exhaustive; argmin over the row-major (C_h, C_t) metrics is payload order,
-    so ties go to the lowest payload value.
+    exhaustive. The expanded metric rounds at about 1e-15, so distances that close
+    may go either way. `factor_tables` refuses two payloads with one frame, so under
+    Gaussian gains (H invertible with probability one) an exact tie has probability zero.
     """
 
     def __init__(self, cfg: SystemConfig, alphabet: PreChirpAlphabet) -> None:
@@ -215,7 +244,7 @@ class MLDetector:
         np.matmul(t.head_forms, gram[: k + 1].view(float).ravel(), out=head[:, -2])
         np.matmul(t.tail_forms, gram[k + 1 :].view(float).ravel(), out=tail[-1])
         metrics = head @ tail
-        best = int(metrics.argmin())  # row-major is payload order: the first is the lowest
+        best = int(metrics.argmin())  # row-major is payload order
         # the expanded metric cancels to about 1e-15, so return the winner's own residual
         i, j = divmod(best, metrics.shape[1])
         residual = np.concatenate([t.head[i], t.tail[j]]) @ rows

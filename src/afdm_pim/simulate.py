@@ -140,9 +140,7 @@ def run_ber_sweep(scenario: Scenario) -> list[BerPoint]:
                 body = received[:, cfg.cpp_length :]
 
                 for f in range(frames):
-                    ch = ChannelRealization(
-                        gains=gains[f], delays=delays[f], dopplers=dopplers[f]
-                    )
+                    ch = ChannelRealization(gains[f], delays[f], dopplers[f])
                     detected, _ = detector.detect(body[f], ch)
                     errors += count_bit_errors(payload[f], detected)
                     bits += b_total
@@ -209,15 +207,10 @@ def run_scenario(scenario: Scenario) -> list[BerPoint]:
 
 
 def _bpsk(n, g, lam, d_max, a_max):
+    """BPSK (the default constellation) with the shortest prefix, cpp_length = d_max."""
     return SystemConfig(
-        n_subcarriers=n,
-        n_groups=g,
-        alphabet_size=lam,
-        constellation_order=2,
-        constellation_kind="PSK",
-        max_delay=d_max,
-        max_doppler=a_max,
-        cpp_length=d_max,
+        n_subcarriers=n, n_groups=g, alphabet_size=lam,
+        max_delay=d_max, max_doppler=a_max, cpp_length=d_max,
     )
 
 
@@ -283,8 +276,7 @@ def alphabet_from_items(items: dict[str, str], expected_size: int) -> PreChirpAl
     if expected_size in TABLE_ALPHABETS:
         return PreChirpAlphabet(TABLE_ALPHABETS[expected_size])
     raise ValueError(
-        "no alphabet given and no published table entry for "
-        f"alphabet_size={expected_size}"
+        f"no alphabet given and no published table entry for alphabet_size={expected_size}"
     )
 
 

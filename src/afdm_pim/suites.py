@@ -87,12 +87,12 @@ def build_effective_matrix(
     alphabet: PreChirpAlphabet,
     pcpg: PreChirpPatternGroup,
 ) -> EffectiveChannel:
-    """Operator-product construction: H_p = A Gamma Delta Pi^d A^H per path."""
+    """Operator-product construction: H_p = A T_p A^H per path, T_p the time-domain
+    operator derived from the prefix and the sample-level channel."""
     a_mat = build_daft(cfg, alphabet, pcpg)
     a_h = a_mat.conj().T
-    per_path = []
-    for d, alpha in zip(ch.delays, ch.dopplers):
-        per_path.append(a_mat @ path_time_operator(cfg, int(d), int(alpha)) @ a_h)
+    cells = zip(ch.delays, ch.dopplers)
+    per_path = [a_mat @ path_time_operator(cfg, int(d), int(a)) @ a_h for d, a in cells]
     matrix = sum(h * hp for h, hp in zip(ch.gains, per_path))
     return EffectiveChannel(matrix=matrix, per_path=tuple(per_path))
 
@@ -166,9 +166,7 @@ def channel_suite() -> list[CheckResult]:
                 worst_matrix, float(np.max(np.abs(analytic.matrix - operator.matrix)))
             )
             s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
-            r = remove_cpp(
-                apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg
-            )
+            r = remove_cpp(apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg)
             y = build_daft(cfg, alphabet, frame.pcpg) @ r
             worst_pipeline = max(
                 worst_pipeline,
@@ -211,47 +209,41 @@ def _pattern_phi(
     return out
 
 
-def brute_objective(
-    alphabet,
-    ctx: ObjectiveContext,
-    pair: tuple[int, int],
-) -> float:
+def _pair_phis(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]):
+    """Per placement, the codeword-channel columns of every symbol vector under
+    the pair's patterns k and j, (phi_k, phi_j)."""
+    j, k = _check_pair(ctx, pair)
+    cfg = ctx.cfg
+    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
+    vals = _values_of(alphabet)
+    symbols = _all_symbol_vectors(cfg)
+    return (
+        tuple(_pattern_phi(vals, ctx.patterns[q], symbols, geometry, cfg) for q in (k, j))
+        for geometry in ctx.placements
+    )
+
+
+def brute_objective(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]) -> float:
     """Aggregate squared distance between the two patterns' codeword-channel
     matrices, summed over ALL ordered symbol-vector pairs and placements.
 
     Oracle-grade: builds the matrices explicitly and accumulates Frobenius
     norms row by row; no cancellation argument is used.
     """
-    j, k = _check_pair(ctx, pair)
-    cfg = ctx.cfg
-    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
-    vals = _values_of(alphabet)
-    symbols = _all_symbol_vectors(cfg)
     total = 0.0
-    for geometry in ctx.placements:
-        phi_k = _pattern_phi(vals, ctx.patterns[k], symbols, geometry, cfg)
-        phi_j = _pattern_phi(vals, ctx.patterns[j], symbols, geometry, cfg)
-        for idx in range(symbols.shape[0]):
+    for phi_k, phi_j in _pair_phis(alphabet, ctx, pair):
+        for idx in range(phi_k.shape[0]):
             delta = phi_k[idx][None, :, :] - phi_j
             total += float(np.sum(np.abs(delta) ** 2))
     return total
 
 
 def brute_objective_equal_symbols(
-    alphabet,
-    ctx: ObjectiveContext,
-    pair: tuple[int, int],
+    alphabet, ctx: ObjectiveContext, pair: tuple[int, int]
 ) -> float:
     """Same aggregate distance restricted to pairs sharing the symbol vector."""
-    j, k = _check_pair(ctx, pair)
-    cfg = ctx.cfg
-    codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
-    vals = _values_of(alphabet)
-    symbols = _all_symbol_vectors(cfg)
     total = 0.0
-    for geometry in ctx.placements:
-        phi_k = _pattern_phi(vals, ctx.patterns[k], symbols, geometry, cfg)
-        phi_j = _pattern_phi(vals, ctx.patterns[j], symbols, geometry, cfg)
+    for phi_k, phi_j in _pair_phis(alphabet, ctx, pair):
         total += float(np.sum(np.abs(phi_k - phi_j) ** 2))
     return total
 

@@ -3,11 +3,13 @@ import pytest
 
 from afdm_pim.channel import (
     ChannelRealization,
+    apply_channel_batch,
     apply_channel_time,
     delay_doppler_cells,
     draw_paths,
     enumerate_placements,
     path_offset,
+    path_time_operator,
     sample_channel,
     time_domain_operator,
 )
@@ -158,6 +160,22 @@ def test_doppler_outside_the_bound_is_rejected(doppler):
         apply_channel_time(np.zeros(4, dtype=complex), ch, cfg, None, 0.0)
     edge = ChannelRealization(np.array([1.0, 1j]), np.array([0, 0]), np.array([1, -1]))
     assert apply_channel_time(np.ones(4, dtype=complex), edge, cfg, None, 0.0).shape == (4,)
+
+
+@pytest.mark.parametrize(
+    "delay, doppler, message",
+    [(3, 0, "prefix shorter"), (-1, 0, "non-negative"), (0, 3, r"Dopplers must lie in \[-2, 2\]")],
+)
+def test_batch_channel_and_path_operator_refuse_a_path_outside_the_channel(
+    delay, doppler, message
+):
+    # the batched channel decides which paths exist, and the operator is derived from it
+    frames = add_cpp(np.ones((2, 8)), CFG)
+    paths = np.ones((2, 1)), np.array([[0], [delay]]), np.array([[0], [doppler]])
+    with pytest.raises(ValueError, match=message):
+        apply_channel_batch(frames, *paths, CFG)
+    with pytest.raises(ValueError, match=message):
+        path_time_operator(CFG, delay, doppler)
 
 
 def test_noise_requires_rng():

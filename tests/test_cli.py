@@ -393,6 +393,34 @@ def test_config_typos_exit_2_naming_the_key(typo, command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize", "analyze"])
+def test_default_section_is_refused_as_an_unknown_section(command, tmp_path, capsys):
+    # configparser would merge its keys into every section and name [system] instead
+    path = tmp_path / "default.cfg"
+    path.write_text("[DEFAULT]\nseed = 3\n\n" + CONFIG_TEXT)
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown section [DEFAULT];") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["analyze"], ["analyze", "--diversity"]])
+def test_codebook_that_cannot_carry_its_bits_exits_2(command, tmp_path, capsys):
+    # values 1/2 apart: 64 payloads and 16 frames, which ran to BER 0.34 at 30 dB
+    path = tmp_path / "collide.cfg"
+    path.write_text(
+        CONFIG_TEXT.replace("values = 0.2 0.6", "values = 0.25, 0.75")
+        .replace("snr_db = 0 10", "snr_db = 30")
+    )
+    out = tmp_path / "out.csv"
+    assert main([*command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the codebook cannot carry its bits: payloads ")
+    assert "share one frame" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_pso_parameter_exits_2_naming_it(config_path, tmp_path, capsys):
     out = tmp_path / "alpha.txt"
     args = ["optimize", config_path, "--pso-params", "particles=4,swarm=9", "--out", str(out)]

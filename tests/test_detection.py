@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,9 @@ from afdm_pim.channel import (
 )
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import (
+    INJECTIVE_TOL,
     MLDetector,
+    _shared_row,
     codeword_time_signals,
     count_bit_errors,
     factor_tables,
@@ -28,7 +31,7 @@ from afdm_pim.mapping import (
     frame_bit_count,
     int_to_bits,
 )
-from afdm_pim.simulate import make_preset, noise_variance_from_snr_db
+from afdm_pim.simulate import PRESETS, make_preset, noise_variance_from_snr_db
 from afdm_pim.suites import build_effective_analytic, build_effective_matrix
 from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
@@ -351,6 +354,51 @@ def test_cached_tables_are_shared_whatever_the_call_form():
             cached(cfg=BPSK42, alphabet=AL2)
         with pytest.raises(TypeError):
             cached(BPSK42, alphabet=AL2)
+
+
+def test_codebook_sharing_a_frame_is_refused_naming_two_payloads():
+    # c_b - c_a = 1/2 turns subcarrier m's pre-chirp by e^{i pi m^2} = (-1)^m, which a
+    # BPSK sign absorbs: 64 payloads, 16 frames
+    alphabet = PreChirpAlphabet((0.25, 0.75))
+    with pytest.raises(ValueError, match="cannot carry its bits") as err:
+        factor_tables(BPSK42, alphabet)
+    words = re.search(r"payloads (\d+) and (\d+) share one frame", str(err.value)).groups()
+    first, second = (int(word, 2) for word in words)
+    assert first != second
+    frames = []
+    for value in (first, second):
+        frame = bits_to_frame(int_to_bits(value, frame_bit_count(BPSK42)), BPSK42, alphabet)
+        frames.append(modulate(frame.symbols, BPSK42, alphabet, frame.pcpg))
+    assert np.max(np.abs(frames[0] - frames[1])) < 1e-12
+    # every route to the tables refuses it
+    for build in (codeword_time_signals, MLDetector):
+        with pytest.raises(ValueError, match="cannot carry its bits"):
+            build(BPSK42, alphabet)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_codebooks_clear_the_guard_by_far(name):
+    # pairwise oracle: the smallest largest-entry gap between two head or two tail rows
+    scenario = PRESETS[name]
+    tables = factor_tables(scenario.cfg, scenario.alphabet)
+    for rows in (tables.head[:, :-1], tables.tail):
+        if len(rows) > 1:
+            gaps = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
+            assert gaps[np.triu_indices(len(rows), 1)].min() >= 0.25 - 1e-12
+
+
+def test_shared_row_finds_rows_within_the_tolerance_only():
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
+    assert _shared_row(rows) is None
+    near = rows.copy()
+    near[217] = near[41] + 0.9 * INJECTIVE_TOL * np.exp(2j * np.pi * rng.uniform(size=5))
+    assert _shared_row(near) == (41, 217)
+    near[217] = near[41] + 1.1 * INJECTIVE_TOL
+    assert _shared_row(near) is None
+    # rows equal in their weighted sums but not entry by entry are told apart
+    assert _shared_row(np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)) is None
+    assert _shared_row(np.ones((1, 3), dtype=complex)) is None
 
 
 @pytest.mark.parametrize("delay, doppler", [(0, 7), (0, -2), (1, 0), (-1, 0)])

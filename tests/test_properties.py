@@ -1,16 +1,28 @@
 """Property tests: the fast kernels against their oracles over drawn small
 configurations. Every draw is derandomized, so a run is deterministic."""
 
+import re
 from functools import lru_cache
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afdm_pim import optimizer
+from afdm_pim.channel import ChannelRealization, apply_channel_batch
 from afdm_pim.config import SystemConfig
-from afdm_pim.mapping import group_pattern_codebook
+from afdm_pim.detection import MLDetector, codeword_time_signals
+from afdm_pim.mapping import (
+    PreChirpAlphabet,
+    bits_to_frame,
+    bits_to_int,
+    codeword_count,
+    frame_bit_count,
+    group_pattern_codebook,
+    int_to_bits,
+)
 from afdm_pim.optimizer import (
     _class_objectives,
     _collision_terms,
@@ -18,6 +30,8 @@ from afdm_pim.optimizer import (
     reduced_objective,
     uniform_heuristic,
 )
+from afdm_pim.suites import build_effective_analytic, build_effective_matrix
+from afdm_pim.transceiver import add_cpp, modulate
 
 MIN_GAP = 0.02  # closer values make 1 - cos cancel in the oracle as well
 ORACLE_PAIRS = 32  # pairs checked besides one per class
@@ -90,3 +104,105 @@ def test_class_objectives_match_reduced_objective(case, pick_seed):
             got = scores[ctx.pair_class[i]]
             assert (got == 0.0) == (oracle == 0.0), (key, vals, ctx.pairs[i])
             assert abs(got - oracle) <= 1e-12 * oracle, (key, vals, ctx.pairs[i])
+
+
+# --- the channel law, the frames and the detector over drawn small configurations
+
+MAX_DRAWN_CODEWORDS = 4096
+DETECTED_FRAMES = 3
+
+
+def _codebook_config(n, g, lam, kind, order, d_max=0, a_max=0, cpp=0):
+    return SystemConfig(
+        n_subcarriers=n, n_groups=g, alphabet_size=lam,
+        constellation_order=order, constellation_kind=kind,
+        max_delay=d_max, max_doppler=a_max, cpp_length=cpp,
+    )
+
+
+# (N, G, lambda, kind, order): G divides N, lambda is 1 or N/G, at most 4,096 codewords
+CODEBOOKS = [
+    (n, g, lam, kind, order)
+    for n in range(1, 9)
+    for g in range(1, n + 1)
+    if n % g == 0
+    for lam in sorted({1, n // g})
+    for kind, order in (("PSK", 2), ("PSK", 4), ("PSK", 8), ("QAM", 4))
+    if 2 ** frame_bit_count(_codebook_config(n, g, lam, kind, order)) <= MAX_DRAWN_CODEWORDS
+]
+
+
+@st.composite
+def channel_cases(draw):
+    n, g, lam, kind, order = draw(st.sampled_from(CODEBOOKS))
+    d_max = draw(st.integers(0, min(2, n)))
+    a_max = draw(st.integers(0, 2))
+    cpp = draw(st.sampled_from(sorted({d_max, min(d_max + 1, n)})))
+    cfg = _codebook_config(n, g, lam, kind, order, d_max, a_max, cpp)
+    span = 0.98 - MIN_GAP * (lam - 1)
+    offsets = draw(st.lists(st.floats(0.0, span), min_size=lam, max_size=lam))
+    alphabet = PreChirpAlphabet(tuple(0.01 + np.sort(offsets) + MIN_GAP * np.arange(lam)))
+    cells = st.tuples(st.integers(0, d_max), st.integers(-a_max, a_max))
+    geometry = draw(st.lists(cells, min_size=1, max_size=3))
+    return cfg, alphabet, geometry
+
+
+def _payload_frame(cfg, alphabet, value):
+    """The prefix-free frame of one payload value, through the bit mapping and `modulate`."""
+    frame = bits_to_frame(int_to_bits(value, frame_bit_count(cfg)), cfg, alphabet)
+    return frame, modulate(frame.symbols, cfg, alphabet, frame.pcpg)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(channel_cases(), st.integers(0, 2**32 - 1))
+# odd N with a path at the prefix's end, where the prefix correction is -1
+@example((_codebook_config(3, 1, 3, "PSK", 2, 1, 1, 1), PreChirpAlphabet((0.29, 0.62, 0.93)),
+          [(1, 1), (1, 1), (0, -1)]), 0)
+# a codebook that cannot carry its bits: 64 payloads, 16 frames
+@example((_codebook_config(4, 2, 2, "PSK", 2, 0, 1, 0), PreChirpAlphabet((0.25, 0.75)),
+          [(0, 1), (0, -1)]), 0)
+def test_derived_channel_frames_and_decisions_match_their_oracles(case, seed):
+    cfg, alphabet, geometry = case
+    rng = np.random.default_rng(seed)
+    count = codeword_count(cfg)
+    n, paths = cfg.n_subcarriers, len(geometry)
+    delays, dopplers = (np.array(v) for v in zip(*geometry))
+    gains = rng.standard_normal(paths) + 1j * rng.standard_normal(paths)
+    ch = ChannelRealization(gains, delays, dopplers)
+
+    # the per-path operator derived from the prefix and the sample-level channel
+    # against the paper's closed form, under a drawn codeword's pattern
+    frame, _ = _payload_frame(cfg, alphabet, int(rng.integers(count)))
+    derived = build_effective_matrix(ch, cfg, alphabet, frame.pcpg).per_path
+    closed = build_effective_analytic(ch, cfg, alphabet, frame.pcpg).per_path
+    for got, want in zip(derived, closed):
+        assert np.max(np.abs(got - want)) < 1e-9, (cfg, geometry)
+
+    try:
+        signals = codeword_time_signals(cfg, alphabet)
+    except ValueError as err:
+        # the refused codebook names two payloads that share one frame
+        words = re.search(r"payloads (\d+) and (\d+) share one frame", str(err)).groups()
+        first, second = (int(word, 2) for word in words)
+        assert first != second
+        gap = _payload_frame(cfg, alphabet, first)[1] - _payload_frame(cfg, alphabet, second)[1]
+        assert np.max(np.abs(gap)) < 1e-8, str(err)
+        return
+    picks = rng.choice(count, min(8, count), replace=False)
+    for value in picks:
+        assert np.max(np.abs(signals[value] - _payload_frame(cfg, alphabet, value)[1])) < 1e-12
+
+    # noisy decisions against a dense search over every codeword's sample-level image
+    images = apply_channel_batch(
+        add_cpp(signals, cfg), *(np.tile(v, (count, 1)) for v in (gains, delays, dopplers)), cfg
+    )[:, cfg.cpp_length :]
+    detector = MLDetector(cfg, alphabet)
+    for value in picks[:DETECTED_FRAMES]:
+        noise = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        r = images[value] + noise
+        metrics = np.sum(np.abs(r[None, :] - images) ** 2, axis=1)
+        bits, metric = detector.detect(r, ch)
+        chosen = bits_to_int(bits)
+        # equal decisions, but for distances that agree to the metric's rounding
+        assert metrics[chosen] - metrics.min() <= 1e-9 * (1.0 + metrics.min()), (cfg, geometry)
+        assert metric == pytest.approx(metrics[chosen], rel=1e-9, abs=1e-12)

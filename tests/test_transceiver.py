@@ -135,6 +135,20 @@ def test_cpp_roundtrip_and_phase():
     assert abs(with_cpp[0]) == pytest.approx(abs(s[7]))
 
 
+def test_cpp_phase_off_the_default_post_chirp():
+    # under the default post-chirp c1 * 2N is an odd integer, so e^{-j2pi c1 2N n} = 1 and
+    # the 2Nn term cannot be seen; the channel's per-path operator takes its prefix from here
+    cfg = SystemConfig(
+        n_subcarriers=5, n_groups=1, alphabet_size=1, max_delay=3, cpp_length=3, post_chirp=0.17
+    )
+    s = np.exp(2j * np.pi * np.arange(5) / 7)
+    with_cpp = add_cpp(s, cfg)
+    for i, n in enumerate(range(-3, 0)):
+        expected = s[5 + n] * np.exp(-2j * np.pi * 0.17 * (25 + 10 * n))
+        assert with_cpp[i] == pytest.approx(expected, abs=1e-14)
+    assert np.array_equal(with_cpp[3:], s)
+
+
 def test_cpp_batch_matches_single_frames():
     cfg = _cfg(n=8, d_max=2)
     rng = RandomSource(4).generator()
