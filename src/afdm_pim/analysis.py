@@ -12,13 +12,21 @@ import numpy as np
 from .config import SystemConfig
 from .detection import Geometry, path_image_tensor
 from .mapping import (
+    EnumerationCapExceeded,
     PreChirpAlphabet,
+    codeword_count,
     codeword_table,
     frame_bit_count,
     index_bits_per_group,
 )
 
 RANK_TOLERANCE = 1e-9
+
+# the largest pair scan in codeword pairs times supports: some 30 min at 1.6 us a term
+MAX_PAIR_TERMS = 2**30
+
+# (support cells, multiplicities, probability) of each reachable path multiset
+GeometryLaw = list[tuple[tuple[tuple[int, int], ...], tuple[int, ...], float]]
 
 _PAIR_CHUNK = 8192
 
@@ -81,6 +89,18 @@ def _pair_chunks(count: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarra
         yield np.concatenate(buf_i), np.concatenate(buf_j)
 
 
+def _check_scan_size(cfg: SystemConfig, supports: int, escape: str = "") -> None:
+    """Refuse (`EnumerationCapExceeded`) a scan of every codeword pair on each of
+    `supports` supports above `MAX_PAIR_TERMS` terms; `MAX_CODEWORDS` goes first."""
+    count = codeword_count(cfg)
+    pairs = count * (count - 1) // 2
+    if pairs * supports > MAX_PAIR_TERMS:
+        raise EnumerationCapExceeded(
+            f"{pairs:,} codeword pairs x {supports:,} supports = {pairs * supports:,} "
+            f"pair-support terms exceed the scan limit {MAX_PAIR_TERMS:,}{escape}"
+        )
+
+
 def _pair_spectra(
     cfg: SystemConfig,
     alphabet: PreChirpAlphabet,
@@ -127,9 +147,7 @@ def jakes_cell_pmf(cfg: SystemConfig) -> dict[tuple[int, int], float]:
     }
 
 
-def jakes_geometry_mixture(
-    cfg: SystemConfig, p_paths: int
-) -> list[tuple[tuple[tuple[int, int], ...], tuple[int, ...], float]]:
+def jakes_geometry_mixture(cfg: SystemConfig, p_paths: int) -> GeometryLaw:
     """All reachable path multisets with their probabilities.
 
     Returns (support cells, multiplicities, weight) triples; paths falling in
@@ -146,6 +164,14 @@ def jakes_geometry_mixture(
             weight *= pmf[c] ** m / math.factorial(m)
         out.append((support, mult, weight))
     return out
+
+
+def bound_supports(cfg: SystemConfig, p_paths: int) -> GeometryLaw:
+    """The `jakes_geometry_mixture` that the bound scans; raises
+    `EnumerationCapExceeded` when that scan would exceed `MAX_PAIR_TERMS`."""
+    mixture = jakes_geometry_mixture(cfg, p_paths)
+    _check_scan_size(cfg, len(mixture), "; include_theory = false skips simulate's theory rows")
+    return mixture
 
 
 def abep_curve_jakes(
@@ -168,7 +194,7 @@ def abep_curve_jakes(
     payload = codeword_table(cfg)
     b_total = frame_bit_count(cfg)
     acc = np.zeros(n0.shape, dtype=float)
-    for support, mult, weight in jakes_geometry_mixture(cfg, p_paths):
+    for support, mult, weight in bound_supports(cfg, p_paths):
         scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
         pair_sum = np.zeros(n0.shape, dtype=float)
         for idx_i, idx_j, eigs in _pair_spectra(cfg, alphabet, support, scale):
@@ -201,6 +227,7 @@ def diversity_order(
     )
     if not supports:
         raise ValueError("no placements supplied")
+    _check_scan_size(cfg, len(supports))
     best = max(map(len, supports))  # no support's rank exceeds its size
     scanned: set[tuple[int, int]] = set()
     for support in sorted(supports, key=len):

@@ -8,7 +8,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .analysis import abep_curve_jakes
+from .analysis import abep_curve_jakes, bound_supports
 from .channel import ChannelRealization, apply_channel_batch, complex_awgn, draw_paths
 from .config import RandomSource, SystemConfig, read_section, system_config_from_items
 from .detection import MLDetector, count_bit_errors
@@ -164,7 +164,9 @@ def _simulation_point(snr_db: float, bits: int, errors: int) -> BerPoint:
 def theory_points(scenario: Scenario) -> list[BerPoint]:
     """Union-bound curve over the scenario's SNR grid, averaged over the same
     geometry law the simulated channel draws from (coincident cells merged)."""
-    finite = [s for s in scenario.snr_grid_db if not math.isinf(s)]
+    finite = [s for s in scenario.snr_grid_db if math.isfinite(s)]
+    if not finite:  # the bound has no noiseless point: no scan
+        return []
     n0s = [noise_variance_from_snr_db(s) for s in finite]
     bounds = abep_curve_jakes(scenario.cfg, scenario.alphabet, scenario.p_paths, n0s)
     return [
@@ -192,8 +194,11 @@ def run_scenario(scenario: Scenario) -> list[BerPoint]:
     """Simulation points plus, when enabled, the matching theory rows.
 
     An interrupt, in the sweep or in the theory rows, raises `SweepInterrupted`
-    carrying the simulation points so far and no theory point.
+    carrying the simulation points so far and no theory point. A theory scan
+    that cannot finish (`bound_supports`) is refused before the sweep.
     """
+    if scenario.include_theory and any(map(math.isfinite, scenario.snr_grid_db)):
+        bound_supports(scenario.cfg, scenario.p_paths)
     points = run_ber_sweep(scenario)
     if scenario.include_theory:
         try:

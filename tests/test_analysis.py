@@ -17,7 +17,8 @@ from afdm_pim.analysis import (
 )
 from afdm_pim.channel import enumerate_placements
 from afdm_pim.config import RandomSource, SystemConfig
-from afdm_pim.mapping import PreChirpAlphabet
+from afdm_pim.mapping import EnumerationCapExceeded, PreChirpAlphabet
+from afdm_pim.simulate import make_preset
 
 AL2 = PreChirpAlphabet((0.20, 0.60))
 BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
@@ -161,6 +162,37 @@ def test_diversity_scan_skips_supports_that_hold_a_scanned_cell(monkeypatch):
         scans.clear()
         assert diversity_order(BPSK42, AL2, order) == expected == 1
         assert sorted(scans) == singletons
+
+
+@pytest.mark.parametrize("name, supports", [("fig7_pim", 120), ("baseline_afdm", 1365)])
+def test_pair_scans_that_cannot_finish_are_refused_before_any_pair(name, supports, monkeypatch):
+    # 2^16 codewords: days of scanning at about 1.6 us a pair-support term
+    scenario = make_preset(name)
+    cfg, alphabet, p_paths = scenario.cfg, scenario.alphabet, scenario.p_paths
+    scans = []
+    monkeypatch.setattr(analysis, "path_image_tensor", lambda *args: scans.append(args))
+    count = f"2,147,450,880 codeword pairs x {supports:,} supports = {2147450880 * supports:,}"
+    limit = f"pair-support terms exceed the scan limit {analysis.MAX_PAIR_TERMS:,}"
+    with pytest.raises(EnumerationCapExceeded) as err:
+        abep_curve_jakes(cfg, alphabet, p_paths, [0.1])
+    assert str(err.value).startswith(f"{count} {limit}; ")
+    assert "include_theory = false" in str(err.value)
+    geometries = enumerate_placements(cfg, p_paths, distinct=True)
+    assert len(geometries) == supports
+    with pytest.raises(EnumerationCapExceeded) as err:
+        diversity_order(cfg, alphabet, geometries)
+    assert str(err.value) == f"{count} {limit}"
+    assert scans == []
+
+
+def test_scan_limit_admits_a_scan_of_exactly_its_size(monkeypatch):
+    # BPSK42: 64 codewords, so 2,016 pairs on each of its 3 single-cell supports
+    geometries = enumerate_placements(BPSK42, 1, distinct=True)
+    monkeypatch.setattr(analysis, "MAX_PAIR_TERMS", 3 * 2016)
+    assert diversity_order(BPSK42, AL2, geometries) == 1
+    monkeypatch.setattr(analysis, "MAX_PAIR_TERMS", 3 * 2016 - 1)
+    with pytest.raises(EnumerationCapExceeded, match="2,016 codeword pairs x 3 supports = 6,048 "):
+        diversity_order(BPSK42, AL2, geometries)
 
 
 def test_full_diversity_condition_examples():

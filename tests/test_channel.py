@@ -15,12 +15,17 @@ from afdm_pim.channel import (
 )
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.mapping import PreChirpAlphabet, PreChirpPatternGroup, bits_to_frame, frame_bit_count
-from afdm_pim.suites import build_effective_analytic, build_effective_matrix
-from afdm_pim.transceiver import add_cpp, modulate, remove_cpp
+from afdm_pim.suites import closed_form_paths
+from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
 AL4 = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
 CFG = SystemConfig(
     n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=2, max_doppler=2, cpp_length=2
+)
+# odd N: under the default post-chirp the prefix correction is -1 on the head rows
+AL3 = PreChirpAlphabet((0.29, 0.62, 0.93))
+CFG3 = SystemConfig(
+    n_subcarriers=3, n_groups=1, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1
 )
 
 
@@ -87,19 +92,17 @@ def test_path_offset_examples():
 def test_identity_channel_gives_identity_matrix():
     rng = RandomSource(6).generator()
     frame = _frame(rng)
+    assert np.array_equal(closed_form_paths(CFG, AL4, frame.pcpg, [(0, 0)])[0], np.eye(8))
     ident = ChannelRealization(np.array([1.0 + 0j]), np.array([0]), np.array([0]))
-    eff = build_effective_matrix(ident, CFG, AL4, frame.pcpg)
-    assert np.max(np.abs(eff.matrix - np.eye(8))) < 1e-10
-    analytic = build_effective_analytic(ident, CFG, AL4, frame.pcpg)
-    assert np.array_equal(analytic.per_path[0], np.eye(8).astype(complex))
+    assert np.max(np.abs(time_domain_operator(ident, CFG) - np.eye(8))) < 1e-10
 
 
 def test_per_path_structure_single_unit_entry_per_row():
     rng = RandomSource(7).generator()
     frame = _frame(rng)
     ch = sample_channel(CFG, 3, rng)
-    eff = build_effective_analytic(ch, CFG, AL4, frame.pcpg)
-    for h_p, (d, a) in zip(eff.per_path, ch.geometry):
+    per_path = closed_form_paths(CFG, AL4, frame.pcpg, ch.geometry)
+    for h_p, (d, a) in zip(per_path, ch.geometry):
         loc = path_offset(CFG, d, a)
         nz = np.abs(h_p) > 1e-12
         assert np.all(nz.sum(axis=1) == 1)
@@ -118,20 +121,30 @@ def test_effective_matrix_frobenius_tracks_gains():
         delays=np.array([0, 1, 2]),
         dopplers=np.array([0, 1, -1]),
     )
-    eff = build_effective_analytic(ch, CFG, AL4, frame.pcpg)
+    matrix = np.tensordot(ch.gains, closed_form_paths(CFG, AL4, frame.pcpg, ch.geometry), 1)
     assert len({path_offset(CFG, d, a) for d, a in ch.geometry}) == 3
     expected = np.sum(np.abs(ch.gains) ** 2) * 8
-    assert np.linalg.norm(eff.matrix, "fro") ** 2 == pytest.approx(expected)
+    assert np.linalg.norm(matrix, "fro") ** 2 == pytest.approx(expected)
 
 
 def test_time_domain_operator_equals_sample_route():
+    # both routes against the closed form sum_p h_p H_p x, each geometry with a
+    # path at d_max, so the prefix rows are read; on odd N a prefix fault shows
     rng = RandomSource(12).generator()
-    frame = _frame(rng)
-    ch = sample_channel(CFG, 3, rng)
-    s = modulate(frame.symbols, CFG, AL4, frame.pcpg)
-    r = remove_cpp(apply_channel_time(add_cpp(s, CFG), ch, CFG, None, 0.0), CFG)
-    op = time_domain_operator(ch, CFG)
-    assert np.max(np.abs(op @ s - r)) < 1e-10
+    for cfg, alphabet, geometry in (
+        (CFG, AL4, [(2, 1), (0, -1), (1, 2)]),
+        (CFG3, AL3, [(1, 1), (0, -1), (1, 0)]),
+    ):
+        frame = _frame(rng, cfg, alphabet)
+        gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        ch = ChannelRealization(gains, *(np.array(v) for v in zip(*geometry)))
+        per_path = closed_form_paths(cfg, alphabet, frame.pcpg, geometry)
+        closed = np.tensordot(gains, per_path, 1) @ frame.symbols
+        a = build_daft(cfg, alphabet, frame.pcpg)
+        s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
+        r = remove_cpp(apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg)
+        assert np.max(np.abs(a @ r - closed)) < 1e-10
+        assert np.max(np.abs(a @ time_domain_operator(ch, cfg) @ s - closed)) < 1e-10
 
 
 def test_awgn_variance():
@@ -201,15 +214,15 @@ def test_enumerate_placements_counts():
 
 
 def test_effective_channel_regression_fixture():
-    # frozen realization + entries, cross-validated once by the two builders;
-    # guards the phase conventions against accidental drift
+    # frozen realization + entries of the closed form, cross-validated once
+    # against a second construction; guards the phase conventions against drift
     ch = ChannelRealization(
         gains=np.array([0.6 - 0.25j, -0.125 + 0.5j, 0.3 + 0.7j]),
         delays=np.array([0, 1, 2]),
         dopplers=np.array([1, -1, 0]),
     )
     pcpg = PreChirpPatternGroup(assignment=(0, 1, 2, 3, 3, 1, 0, 2), group_size=4)
-    eff = build_effective_analytic(ch, CFG, AL4, pcpg)
+    matrix = np.tensordot(ch.gains, closed_form_paths(CFG, AL4, pcpg, ch.geometry), 1)
     assert tuple(path_offset(CFG, d, a) for d, a in ch.geometry) == (1, 4, 2)
     expected = {
         (0, 1): 0.423174325698757 + 0.493379661183355j,
@@ -219,7 +232,7 @@ def test_effective_channel_regression_fixture():
         (5, 0): 0.0 + 0.0j,  # off the three cyclic diagonals
     }
     for (i, j), value in expected.items():
-        assert eff.matrix[i, j] == pytest.approx(value, abs=1e-12)
+        assert matrix[i, j] == pytest.approx(value, abs=1e-12)
 
 
 def test_zero_path_channel_is_rejected():

@@ -326,7 +326,7 @@ def test_alphabet_file_is_read_from_the_config_directory(
 def test_validate_suites(capsys):
     assert main(["validate", "--suite", "all"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 9 and "9/9 checks passed" in out
+    assert out.count("[PASS]") == 8 and "8/8 checks passed" in out
 
 
 def test_missing_config_is_reported(capsys):
@@ -418,6 +418,43 @@ def test_codebook_that_cannot_carry_its_bits_exits_2(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the codebook cannot carry its bits: payloads ")
     assert "share one frame" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+FIG7_SYSTEM = """\
+[system]
+n_subcarriers = 8
+n_groups = 2
+alphabet_size = 4
+max_delay = 1
+max_doppler = 2
+cpp_length = 1
+
+[channel]
+paths = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "command, supports",
+    [
+        (["analyze", "fig7_pim"], 120),
+        (["analyze", "fig7_pim", "--diversity"], 120),
+        (["analyze", "baseline_afdm"], 1365),
+        (["simulate", "fig7.cfg"], 120),  # theory rows on by default
+    ],
+)
+def test_pair_scan_that_cannot_finish_exits_2_naming_the_limit(
+    command, supports, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "fig7.cfg").write_text(FIG7_SYSTEM)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: 2,147,450,880 codeword pairs x {supports:,} supports")
+    assert "exceed the scan limit 1,073,741,824" in err and err.count("\n") == 1
+    assert ("include_theory = false" in err) == ("--diversity" not in command)
     assert not out.exists()
 
 

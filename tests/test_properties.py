@@ -3,6 +3,7 @@ configurations. Every draw is derandomized, so a run is deterministic."""
 
 import re
 from functools import lru_cache
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -11,14 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afdm_pim import optimizer
-from afdm_pim.channel import ChannelRealization, apply_channel_batch
+from afdm_pim.analysis import abep_curve_jakes, jakes_geometry_mixture, pairwise_difference, upep
+from afdm_pim.channel import ChannelRealization, apply_channel_time, path_time_operator
 from afdm_pim.config import SystemConfig
-from afdm_pim.detection import MLDetector, codeword_time_signals
+from afdm_pim.detection import MLDetector, codeword_time_signals, path_image_tensor
 from afdm_pim.mapping import (
     PreChirpAlphabet,
     bits_to_frame,
     bits_to_int,
     codeword_count,
+    codeword_table,
     frame_bit_count,
     group_pattern_codebook,
     int_to_bits,
@@ -30,8 +33,9 @@ from afdm_pim.optimizer import (
     reduced_objective,
     uniform_heuristic,
 )
-from afdm_pim.suites import build_effective_analytic, build_effective_matrix
-from afdm_pim.transceiver import add_cpp, modulate
+from afdm_pim.suites import closed_form_paths
+from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
+from dense_search import dense_metrics
 
 MIN_GAP = 0.02  # closer values make 1 - cos cancel in the oracle as well
 ORACLE_PAIRS = 32  # pairs checked besides one per class
@@ -106,17 +110,17 @@ def test_class_objectives_match_reduced_objective(case, pick_seed):
             assert abs(got - oracle) <= 1e-12 * oracle, (key, vals, ctx.pairs[i])
 
 
-# --- the channel law, the frames and the detector over drawn small configurations
+# --- the channel law, the frames, the detector and the bound over drawn small configurations
 
 MAX_DRAWN_CODEWORDS = 4096
 DETECTED_FRAMES = 3
 
 
-def _codebook_config(n, g, lam, kind, order, d_max=0, a_max=0, cpp=0):
+def _codebook_config(n, g, lam, kind, order, d_max=0, a_max=0, cpp=0, post_chirp=None):
     return SystemConfig(
         n_subcarriers=n, n_groups=g, alphabet_size=lam,
         constellation_order=order, constellation_kind=kind,
-        max_delay=d_max, max_doppler=a_max, cpp_length=cpp,
+        max_delay=d_max, max_doppler=a_max, cpp_length=cpp, post_chirp=post_chirp,
     )
 
 
@@ -130,20 +134,25 @@ CODEBOOKS = [
     for kind, order in (("PSK", 2), ("PSK", 4), ("PSK", 8), ("QAM", 4))
     if 2 ** frame_bit_count(_codebook_config(n, g, lam, kind, order)) <= MAX_DRAWN_CODEWORDS
 ]
+# the per-pair bound oracle is a Python loop: at most 2,016 pairs on each of at
+# most 10 supports (2 paths on the 4 cells that Jakes reaches for d_max, a_max <= 1)
+BOUND_CODEBOOKS = [c for c in CODEBOOKS if frame_bit_count(_codebook_config(*c)) <= 6]
 
 
 @st.composite
-def channel_cases(draw):
-    n, g, lam, kind, order = draw(st.sampled_from(CODEBOOKS))
-    d_max = draw(st.integers(0, min(2, n)))
-    a_max = draw(st.integers(0, 2))
+def channel_cases(draw, codebooks=CODEBOOKS, max_cell=2, max_paths=3):
+    n, g, lam, kind, order = draw(st.sampled_from(codebooks))
+    d_max = draw(st.integers(0, min(max_cell, n)))
+    a_max = draw(st.integers(0, max_cell))
     cpp = draw(st.sampled_from(sorted({d_max, min(d_max + 1, n)})))
-    cfg = _codebook_config(n, g, lam, kind, order, d_max, a_max, cpp)
+    # the default post-chirp, or a random one, off the closed form's grid
+    post_chirp = draw(st.one_of(st.none(), st.floats(0.01, 0.99)))
+    cfg = _codebook_config(n, g, lam, kind, order, d_max, a_max, cpp, post_chirp)
     span = 0.98 - MIN_GAP * (lam - 1)
     offsets = draw(st.lists(st.floats(0.0, span), min_size=lam, max_size=lam))
     alphabet = PreChirpAlphabet(tuple(0.01 + np.sort(offsets) + MIN_GAP * np.arange(lam)))
     cells = st.tuples(st.integers(0, d_max), st.integers(-a_max, a_max))
-    geometry = draw(st.lists(cells, min_size=1, max_size=3))
+    geometry = draw(st.lists(cells, min_size=1, max_size=max_paths))
     return cfg, alphabet, geometry
 
 
@@ -151,6 +160,16 @@ def _payload_frame(cfg, alphabet, value):
     """The prefix-free frame of one payload value, through the bit mapping and `modulate`."""
     frame = bits_to_frame(int_to_bits(value, frame_bit_count(cfg)), cfg, alphabet)
     return frame, modulate(frame.symbols, cfg, alphabet, frame.pcpg)
+
+
+def _refused_codebook(cfg, alphabet, err):
+    """The refusal of a codebook that cannot carry its bits names two payloads
+    whose frames are one."""
+    words = re.search(r"payloads (\d+) and (\d+) share one frame", str(err)).groups()
+    first, second = (int(word, 2) for word in words)
+    assert first != second
+    gap = _payload_frame(cfg, alphabet, first)[1] - _payload_frame(cfg, alphabet, second)[1]
+    assert np.max(np.abs(gap)) < 1e-8, str(err)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -171,38 +190,71 @@ def test_derived_channel_frames_and_decisions_match_their_oracles(case, seed):
     ch = ChannelRealization(gains, delays, dopplers)
 
     # the per-path operator derived from the prefix and the sample-level channel
-    # against the paper's closed form, under a drawn codeword's pattern
+    # against the paper's closed form, under a drawn codeword's pattern; the
+    # closed form holds where every 2*N*c1*d is an integer
     frame, _ = _payload_frame(cfg, alphabet, int(rng.integers(count)))
-    derived = build_effective_matrix(ch, cfg, alphabet, frame.pcpg).per_path
-    closed = build_effective_analytic(ch, cfg, alphabet, frame.pcpg).per_path
-    for got, want in zip(derived, closed):
-        assert np.max(np.abs(got - want)) < 1e-9, (cfg, geometry)
+    steps = 2 * n * cfg.post_chirp * delays
+    if np.all(np.abs(steps - np.round(steps)) <= 1e-9):
+        a_mat = build_daft(cfg, alphabet, frame.pcpg)
+        closed = closed_form_paths(cfg, alphabet, frame.pcpg, geometry)
+        for (d, a), want in zip(geometry, closed):
+            got = a_mat @ path_time_operator(cfg, d, a) @ a_mat.conj().T
+            assert np.max(np.abs(got - want)) < 1e-9, (cfg, geometry)
 
     try:
         signals = codeword_time_signals(cfg, alphabet)
     except ValueError as err:
-        # the refused codebook names two payloads that share one frame
-        words = re.search(r"payloads (\d+) and (\d+) share one frame", str(err)).groups()
-        first, second = (int(word, 2) for word in words)
-        assert first != second
-        gap = _payload_frame(cfg, alphabet, first)[1] - _payload_frame(cfg, alphabet, second)[1]
-        assert np.max(np.abs(gap)) < 1e-8, str(err)
+        _refused_codebook(cfg, alphabet, err)
         return
+    payload = codeword_table(cfg)
     picks = rng.choice(count, min(8, count), replace=False)
     for value in picks:
+        assert np.array_equal(payload[value], int_to_bits(value, frame_bit_count(cfg)))
         assert np.max(np.abs(signals[value] - _payload_frame(cfg, alphabet, value)[1])) < 1e-12
 
-    # noisy decisions against a dense search over every codeword's sample-level image
-    images = apply_channel_batch(
-        add_cpp(signals, cfg), *(np.tile(v, (count, 1)) for v in (gains, delays, dopplers)), cfg
-    )[:, cfg.cpp_length :]
+    # each path's codeword images against the frames through its derived operator
+    images = path_image_tensor(cfg, alphabet, geometry)
+    for p, (d, a) in enumerate(geometry):
+        want = signals @ path_time_operator(cfg, d, a).T
+        assert np.max(np.abs(images[:, :, p] - want)) < 1e-12, (cfg, geometry)
+
+    # noisy decisions against the dense search over the sample-level images
     detector = MLDetector(cfg, alphabet)
     for value in picks[:DETECTED_FRAMES]:
+        sent = apply_channel_time(add_cpp(signals[value], cfg), ch, cfg, None, 0.0)
         noise = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        r = images[value] + noise
-        metrics = np.sum(np.abs(r[None, :] - images) ** 2, axis=1)
+        r = remove_cpp(sent, cfg) + noise
+        metrics = dense_metrics(r, ch, cfg, alphabet)
         bits, metric = detector.detect(r, ch)
         chosen = bits_to_int(bits)
         # equal decisions, but for distances that agree to the metric's rounding
         assert metrics[chosen] - metrics.min() <= 1e-9 * (1.0 + metrics.min()), (cfg, geometry)
         assert metric == pytest.approx(metrics[chosen], rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(channel_cases(BOUND_CODEBOOKS, max_cell=1, max_paths=2), st.sampled_from([0.05, 0.5]))
+def test_bound_matches_per_pair_upep(case, n0):
+    # the union bound against the documented per-pair operation over the
+    # channel law's supports: `pairwise_difference` and `upep` on each pair
+    cfg, alphabet, geometry = case
+    p_paths = len(geometry)
+    try:
+        signals = codeword_time_signals(cfg, alphabet)
+    except ValueError as err:
+        _refused_codebook(cfg, alphabet, err)
+        with pytest.raises(ValueError, match="cannot carry its bits"):
+            abep_curve_jakes(cfg, alphabet, p_paths, [n0])
+        return
+    payload = codeword_table(cfg)
+    total = 0.0
+    for support, mult, weight in jakes_geometry_mixture(cfg, p_paths):
+        phi = np.stack([signals @ path_time_operator(cfg, d, a).T for d, a in support], axis=-1)
+        phi = phi * np.sqrt(np.asarray(mult) / p_paths)  # column gain variance mult/P
+        for i, j in combinations(range(len(signals)), 2):
+            tau = np.count_nonzero(payload[i] != payload[j])
+            total += weight * 2 * upep(pairwise_difference(phi[i], phi[j]), 1, n0) * tau
+    b_total = frame_bit_count(cfg)
+    expected = min(total / (b_total * 2.0**b_total), 1.0)
+    got = float(abep_curve_jakes(cfg, alphabet, p_paths, [n0])[0])
+    assert got == pytest.approx(expected, rel=1e-9), (cfg, geometry)

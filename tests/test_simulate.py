@@ -5,11 +5,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afdm_pim import simulate
-from afdm_pim.channel import ChannelRealization, apply_channel_batch, complex_awgn, draw_paths
+from afdm_pim import analysis, simulate
+from afdm_pim.channel import (
+    ChannelRealization,
+    apply_channel_batch,
+    complex_awgn,
+    draw_paths,
+    time_domain_operator,
+)
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.detection import MLDetector, codeword_time_signals, count_bit_errors
-from afdm_pim.mapping import PreChirpAlphabet, frame_bit_count
+from afdm_pim.mapping import (
+    EnumerationCapExceeded,
+    PreChirpAlphabet,
+    PreChirpPatternGroup,
+    frame_bit_count,
+)
 from afdm_pim.simulate import (
     PRESETS,
     BerPoint,
@@ -23,7 +34,8 @@ from afdm_pim.simulate import (
     theory_points,
     write_csv,
 )
-from afdm_pim.transceiver import add_cpp, remove_cpp
+from afdm_pim.suites import closed_form_paths
+from afdm_pim.transceiver import add_cpp, build_daft, remove_cpp
 
 BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
 AL2 = PreChirpAlphabet((0.20, 0.60))
@@ -127,6 +139,24 @@ def test_theory_points_skip_infinite_snr():
     assert len(pts) == 1 and pts[0].snr_db == 10.0
 
 
+def test_theory_rows_without_a_finite_snr_scan_no_support(monkeypatch):
+    # the noiseless point has no bound, so a support scan would return no row
+    scans = []
+    monkeypatch.setattr(analysis, "path_image_tensor", lambda *args: scans.append(args))
+    sc = replace(_tiny(min_bits=1_000), include_theory=True)
+    assert theory_points(sc) == []
+    assert [p.kind for p in run_scenario(sc)] == ["simulation"]
+    assert scans == []
+
+
+def test_run_scenario_refuses_a_theory_scan_that_cannot_finish_before_its_sweep(monkeypatch):
+    # fig7's geometry with theory rows on: 2^16 codewords on 120 supports
+    scenario = replace(make_preset("fig7_pim"), include_theory=True)
+    monkeypatch.setattr(simulate, "run_ber_sweep", lambda sc: pytest.fail("the sweep ran"))
+    with pytest.raises(EnumerationCapExceeded, match="include_theory = false"):
+        run_scenario(scenario)
+
+
 def test_ber_point_invariants():
     with pytest.raises(ValueError, match="kind"):
         BerPoint(snr_db=0, bits=10, errors=1, ber=0.1, kind="sim")
@@ -192,21 +222,29 @@ def test_classic_collapse_single_value_alphabet_roundtrips():
 
 
 def test_batch_channel_matches_time_domain_operator():
-    from afdm_pim.channel import ChannelRealization, apply_channel_batch, time_domain_operator
-    from afdm_pim.config import RandomSource, SystemConfig as SC
-    from afdm_pim.transceiver import add_cpp
-
-    cfg = SC(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=2, max_doppler=2, cpp_length=2)
+    # each frame's body is A^H (sum_p h_p H_p) A s under the closed form H_p, for
+    # any pattern's transform A; on odd N (N = 3) a prefix fault shows
     rng = RandomSource(19).generator()
-    frames = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
-    gains = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    delays = rng.integers(0, 3, (6, 3))
-    dopplers = rng.integers(-2, 3, (6, 3))
-    batch = apply_channel_batch(add_cpp(frames, cfg), gains, delays, dopplers, cfg)
-    for f in range(6):
-        ch = ChannelRealization(gains[f], delays[f], dopplers[f])
-        expected = time_domain_operator(ch, cfg) @ frames[f]
-        assert np.max(np.abs(batch[f, cfg.cpp_length :] - expected)) < 1e-12
+    for n, g, lam, d_max in ((8, 2, 4, 2), (3, 1, 3, 1)):
+        cfg = SystemConfig(
+            n_subcarriers=n, n_groups=g, alphabet_size=lam, max_delay=d_max, max_doppler=2,
+            cpp_length=d_max,
+        )
+        alphabet = PreChirpAlphabet(simulate.TABLE_ALPHABETS[lam])
+        pcpg = PreChirpPatternGroup(tuple(rng.integers(0, lam, n)), n // g)
+        a = build_daft(cfg, alphabet, pcpg)
+        frames = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        gains = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        delays = rng.integers(0, d_max + 1, (6, 3))
+        dopplers = rng.integers(-2, 3, (6, 3))
+        assert delays.max() == d_max  # the prefix rows are read
+        batch = apply_channel_batch(add_cpp(frames, cfg), gains, delays, dopplers, cfg)
+        for f in range(6):
+            ch = ChannelRealization(gains[f], delays[f], dopplers[f])
+            h_eff = np.tensordot(gains[f], closed_form_paths(cfg, alphabet, pcpg, ch.geometry), 1)
+            expected = a.conj().T @ h_eff @ a @ frames[f]
+            assert np.max(np.abs(batch[f, cfg.cpp_length :] - expected)) < 1e-12
+            assert np.max(np.abs(time_domain_operator(ch, cfg) @ frames[f] - expected)) < 1e-12
 
 
 def _whole_chunk_sweep(scenario):
