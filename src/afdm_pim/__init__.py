@@ -4,7 +4,6 @@ from .analysis import diversity_order, spectral_efficiency
 from .channel import (
     ChannelRealization,
     apply_channel_time,
-    enumerate_placements,
     sample_channel,
 )
 from .config import RandomSource, SystemConfig

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .channel import delay_doppler_cells
 from .config import SystemConfig
 from .detection import Geometry, path_image_tensor
 from .mapping import (
@@ -167,11 +168,17 @@ def jakes_geometry_mixture(cfg: SystemConfig, p_paths: int) -> GeometryLaw:
 
 
 def bound_supports(cfg: SystemConfig, p_paths: int) -> GeometryLaw:
-    """The `jakes_geometry_mixture` that the bound scans; raises
-    `EnumerationCapExceeded` when that scan would exceed `MAX_PAIR_TERMS`."""
-    mixture = jakes_geometry_mixture(cfg, p_paths)
-    _check_scan_size(cfg, len(mixture), "; include_theory = false skips simulate's theory rows")
-    return mixture
+    """The `jakes_geometry_mixture` that the bound scans. Its C(K+P-1, P)
+    multisets of the K reachable cells are counted first, and
+    `EnumerationCapExceeded` is raised before any is built when that scan
+    would exceed `MAX_PAIR_TERMS`."""
+    reachable = len(jakes_cell_pmf(cfg))
+    _check_scan_size(
+        cfg,
+        math.comb(reachable + p_paths - 1, p_paths),
+        "; include_theory = false skips simulate's theory rows",
+    )
+    return jakes_geometry_mixture(cfg, p_paths)
 
 
 def abep_curve_jakes(
@@ -208,37 +215,26 @@ def abep_curve_jakes(
     return np.clip(bound, 0.0, 1.0)
 
 
-def diversity_order(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    geometries: Sequence[Geometry],
-) -> int:
-    """Minimum rank of the codeword-image difference over all pairs and placements.
+def diversity_order(cfg: SystemConfig, alphabet: PreChirpAlphabet, p_paths: int) -> int:
+    """Minimum rank of the codeword-image difference over all codeword pairs and
+    the placements of p_paths on the delay-Doppler grid.
 
-    Paths sharing a (delay, Doppler) cell contribute identical unit-gain
-    columns, so each placement is reduced to its distinct cells first; the
-    rank is unchanged and the scan touches each distinct support once.
-    Single-cell supports go first. A scanned one that does not end the scan
-    at 0 has every pair differ in its column, so every support holding that
-    cell has rank >= 1 and cannot lower the minimum; those are skipped.
+    Within the grid capacity the supports are the C(capacity, P) placements on
+    distinct cells. With more paths than cells every placement shares a cell,
+    and paths on one cell add into one column, so a placement's rank is at least
+    its rank on any one of its cells, which P paths on that cell alone attain:
+    the supports are then the single cells. Their count is checked against
+    `MAX_PAIR_TERMS` before any support is built.
     """
-    supports = dict.fromkeys(
-        tuple(dict.fromkeys((int(d), int(a)) for d, a in geometry)) for geometry in geometries
-    )
-    if not supports:
-        raise ValueError("no placements supplied")
-    _check_scan_size(cfg, len(supports))
-    best = max(map(len, supports))  # no support's rank exceeds its size
-    scanned: set[tuple[int, int]] = set()
-    for support in sorted(supports, key=len):
-        if not scanned.isdisjoint(support):
-            continue
+    cells = delay_doppler_cells(cfg)
+    size = p_paths if p_paths <= len(cells) else 1
+    _check_scan_size(cfg, math.comb(len(cells), size))
+    best = size  # no support's rank exceeds its size
+    for support in combinations(cells, size):
         for _, _, eigs in _pair_spectra(cfg, alphabet, support):
             best = min(best, int(np.count_nonzero(eigs, axis=1).min()))
             if best == 0:
                 return 0
-        if len(support) == 1:
-            scanned.add(support[0])
     return best
 
 

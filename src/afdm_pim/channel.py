@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -169,17 +168,3 @@ def delay_doppler_cells(cfg: SystemConfig) -> tuple[tuple[int, int], ...]:
         for d in range(cfg.max_delay + 1)
         for a in range(-cfg.max_doppler, cfg.max_doppler + 1)
     )
-
-
-def enumerate_placements(
-    cfg: SystemConfig, p_paths: int, distinct: bool = True
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All placements of p_paths over the delay-Doppler grid.
-
-    With distinct=True these are the C(capacity, P) combinations of distinct
-    cells; distinct=False allows repeated cells (needed when P exceeds the
-    grid capacity).
-    """
-    cells = delay_doppler_cells(cfg)
-    chooser = combinations if distinct else combinations_with_replacement
-    return tuple(chooser(cells, p_paths))

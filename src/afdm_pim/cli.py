@@ -13,7 +13,6 @@ from .analysis import (
     diversity_order,
     spectral_efficiency,
 )
-from .channel import enumerate_placements
 from .config import SECTION_KEYS, RandomSource, read_config_file, read_items, read_section
 from .mapping import save_alphabet
 from .optimizer import (
@@ -127,9 +126,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     if args.diversity:
         report = check_full_diversity_conditions(cfg, scenario.p_paths)
-        distinct = scenario.p_paths <= cfg.placement_capacity
-        geometries = enumerate_placements(cfg, scenario.p_paths, distinct=distinct)
-        mu = diversity_order(cfg, scenario.alphabet, geometries)
+        mu = diversity_order(cfg, scenario.alphabet, scenario.p_paths)
         print(f"paths P = {report.p_paths}")
         print(f"placement capacity (d_max+1)(2*a_max+1) = {report.placement_capacity}")
         print(f"P <= capacity: {report.paths_within_capacity}")

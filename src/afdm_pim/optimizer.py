@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .channel import enumerate_placements, path_offset
+from .channel import delay_doppler_cells, path_offset
 from .config import SystemConfig, constellation_for
 from .mapping import (
     MAX_CODEWORDS,
@@ -65,6 +65,10 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
     """Enumerate patterns, Hamming-2 pairs, and distinct-cell placements."""
     n, n_c = cfg.n_subcarriers, cfg.group_size
     lam = cfg.alphabet_size
+    if lam == 1 and n_c > 1:
+        raise ValueError(
+            "a single pre-chirp value carries no index bits, so there is no alphabet to design"
+        )
     if lam != n_c:
         raise ValueError("the pattern codebook requires alphabet_size == group size")
     # the Hamming tensor below holds every pattern pair; with one group these
@@ -83,7 +87,7 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
             f"p_paths={p_paths} exceeds the {cfg.placement_capacity} distinct "
             "delay-Doppler cells"
         )
-    placements = enumerate_placements(cfg, p_paths, distinct=True)
+    placements = tuple(combinations(delay_doppler_cells(cfg), p_paths))
 
     group_patterns = group_pattern_codebook(lam, n_c)
     patterns = np.array(

@@ -111,13 +111,11 @@ def test_05_spectral_efficiency_pairings():
 def test_06_diversity_orders():
     cfg_full = _bpsk(6, 2, 3, 1, 1)
     al3 = ap.PreChirpAlphabet(ap.TABLE_ALPHABETS[3])
-    geoms_full = ap.enumerate_placements(cfg_full, 3, distinct=True)
-    mu_full = ap.diversity_order(cfg_full, al3, geoms_full)
+    mu_full = ap.diversity_order(cfg_full, al3, 3)
 
     cfg_def = _bpsk(8, 4, 2, 0, 1)  # P=4 exceeds the 3 reachable cells
     al2 = ap.PreChirpAlphabet(ap.TABLE_ALPHABETS[2])
-    geoms_def = ap.enumerate_placements(cfg_def, 4, distinct=False)
-    mu_def = ap.diversity_order(cfg_def, al2, geoms_def)
+    mu_def = ap.diversity_order(cfg_def, al2, 4)
 
     ok = mu_full == 3 and mu_def < 4
     _report(6, "diversity order scans", ok,

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,13 +16,19 @@ from afdm_pim.analysis import (
     spectral_efficiency,
     upep,
 )
-from afdm_pim.channel import enumerate_placements
+from afdm_pim.channel import delay_doppler_cells
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.mapping import EnumerationCapExceeded, PreChirpAlphabet
 from afdm_pim.simulate import make_preset
 
 AL2 = PreChirpAlphabet((0.20, 0.60))
 BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=1)
+
+
+def _support_rank(cfg, alphabet, support):
+    """Minimum rank over every codeword pair on one support, read from the pair scan."""
+    spectra = analysis._pair_spectra(cfg, alphabet, support)
+    return min(int(np.count_nonzero(eigs, axis=1).min()) for _, _, eigs in spectra)
 
 
 def _random_pair(rng, n=6, p=3):
@@ -94,8 +101,8 @@ def test_abep_monotone_and_clipped():
 
 
 def test_abep_high_snr_slope_matches_diversity():
-    supports = [support for support, _, _ in jakes_geometry_mixture(BPSK42, 3)]
-    mu = diversity_order(BPSK42, AL2, supports)
+    # the bound's slope is the minimum rank over the supports of its own law
+    mu = min(_support_rank(BPSK42, AL2, s) for s, _, _ in jakes_geometry_mixture(BPSK42, 3))
     n0s = [1e-5, 1e-6]
     curve = abep_curve_jakes(BPSK42, AL2, 3, n0s)
     slope = math.log10(curve[0] / curve[1])
@@ -104,8 +111,6 @@ def test_abep_high_snr_slope_matches_diversity():
 
 def test_abep_curve_matches_scalar_upep_route():
     # cross-check the batched bound against the documented per-pair operation
-    from itertools import combinations
-
     from afdm_pim.detection import path_image_tensor
     from afdm_pim.mapping import codeword_table, frame_bit_count
 
@@ -132,36 +137,55 @@ def test_abep_curve_matches_scalar_upep_route():
 def test_abep_requires_positive_noise_and_geometries():
     with pytest.raises(ValueError, match="positive"):
         abep_curve_jakes(BPSK42, AL2, 3, [0.0])
-    with pytest.raises(ValueError, match="no placements"):
-        diversity_order(BPSK42, AL2, [])
     with pytest.raises(ValueError, match=r"empty placement \(\)"):
-        diversity_order(BPSK42, AL2, [()])
+        diversity_order(BPSK42, AL2, 0)
 
 
 def test_diversity_order_single_path():
-    geoms = enumerate_placements(BPSK42, 1, distinct=True)
-    assert diversity_order(BPSK42, AL2, geoms) == 1
+    assert diversity_order(BPSK42, AL2, 1) == 1
 
 
-def test_diversity_scan_skips_supports_that_hold_a_scanned_cell(monkeypatch):
-    # P = 4 over the 3 cells of BPSK42: 3 single-cell, 3 two-cell and 1 three-cell support
-    geoms = enumerate_placements(BPSK42, 4, distinct=False)
-    supports = {tuple(dict.fromkeys(g)) for g in geoms}
+def test_diversity_beyond_capacity_is_the_minimum_over_every_support():
+    # P = 4 over the 3 cells of BPSK42: every nonempty set of cells is the support
+    # of some placement, 3 single-cell, 3 two-cell and 1 three-cell
+    cells = delay_doppler_cells(BPSK42)
+    supports = [s for size in range(1, len(cells) + 1) for s in combinations(cells, size)]
     assert len(supports) == 7
-    expected = min(diversity_order(BPSK42, AL2, [s]) for s in supports)
+    expected = min(_support_rank(BPSK42, AL2, s) for s in supports)
+    assert diversity_order(BPSK42, AL2, 4) == expected == 1
+
+
+def test_diversity_scan_reads_the_supports_of_its_path_count(monkeypatch):
     scans = []
-    full_scan = analysis.path_image_tensor
 
     def spy(cfg, alphabet, support):
         scans.append(tuple(support))
-        return full_scan(cfg, alphabet, support)
+        return np.zeros((1, cfg.n_subcarriers, len(support)), dtype=complex)  # no pair
 
     monkeypatch.setattr(analysis, "path_image_tensor", spy)
-    singletons = sorted(s for s in supports if len(s) == 1)
-    for order in (geoms, geoms[::-1]):  # single cells are scanned first either way
-        scans.clear()
-        assert diversity_order(BPSK42, AL2, order) == expected == 1
-        assert sorted(scans) == singletons
+    fig4 = make_preset("fig4")
+    diversity_order(fig4.cfg, fig4.alphabet, 3)  # the distinct-cell placements
+    assert len(scans) == 20
+    assert scans == list(combinations(delay_doppler_cells(fig4.cfg), 3))
+    scans.clear()
+    diversity_order(BPSK42, AL2, 4)  # 4 paths over 3 cells: the single cells
+    assert scans == [(cell,) for cell in delay_doppler_cells(BPSK42)]
+
+
+def test_bound_law_past_the_scan_limit_is_refused_before_it_is_built(monkeypatch):
+    # 12 paths over the 12 cells the Jakes law reaches at d_max = a_max = 2:
+    # C(23, 12) multisets, each scanned over 2,016 codeword pairs
+    cfg = SystemConfig(
+        n_subcarriers=4, n_groups=2, alphabet_size=2, max_delay=2, max_doppler=2, cpp_length=2
+    )
+    assert len(jakes_cell_pmf(cfg)) == 12
+
+    def refuse(*args):
+        raise AssertionError("the mixture of a refused law was built")
+
+    monkeypatch.setattr(analysis, "jakes_geometry_mixture", refuse)
+    with pytest.raises(EnumerationCapExceeded, match="2,016 codeword pairs x 1,352,078 supports"):
+        abep_curve_jakes(cfg, AL2, 12, [0.1])
 
 
 @pytest.mark.parametrize("name, supports", [("fig7_pim", 120), ("baseline_afdm", 1365)])
@@ -177,22 +201,20 @@ def test_pair_scans_that_cannot_finish_are_refused_before_any_pair(name, support
         abep_curve_jakes(cfg, alphabet, p_paths, [0.1])
     assert str(err.value).startswith(f"{count} {limit}; ")
     assert "include_theory = false" in str(err.value)
-    geometries = enumerate_placements(cfg, p_paths, distinct=True)
-    assert len(geometries) == supports
+    assert math.comb(cfg.placement_capacity, p_paths) == supports
     with pytest.raises(EnumerationCapExceeded) as err:
-        diversity_order(cfg, alphabet, geometries)
+        diversity_order(cfg, alphabet, p_paths)
     assert str(err.value) == f"{count} {limit}"
     assert scans == []
 
 
 def test_scan_limit_admits_a_scan_of_exactly_its_size(monkeypatch):
     # BPSK42: 64 codewords, so 2,016 pairs on each of its 3 single-cell supports
-    geometries = enumerate_placements(BPSK42, 1, distinct=True)
     monkeypatch.setattr(analysis, "MAX_PAIR_TERMS", 3 * 2016)
-    assert diversity_order(BPSK42, AL2, geometries) == 1
+    assert diversity_order(BPSK42, AL2, 1) == 1
     monkeypatch.setattr(analysis, "MAX_PAIR_TERMS", 3 * 2016 - 1)
     with pytest.raises(EnumerationCapExceeded, match="2,016 codeword pairs x 3 supports = 6,048 "):
-        diversity_order(BPSK42, AL2, geometries)
+        diversity_order(BPSK42, AL2, 1)
 
 
 def test_full_diversity_condition_examples():

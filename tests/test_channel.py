@@ -7,7 +7,6 @@ from afdm_pim.channel import (
     apply_channel_time,
     delay_doppler_cells,
     draw_paths,
-    enumerate_placements,
     path_offset,
     path_time_operator,
     sample_channel,
@@ -202,15 +201,6 @@ def test_offsets_distinct_under_capacity_condition():
     assert cfg.placement_capacity_ok
     offsets = {path_offset(cfg, d, a) for d, a in delay_doppler_cells(cfg)}
     assert len(offsets) == cfg.placement_capacity
-
-
-def test_enumerate_placements_counts():
-    cfg = SystemConfig(n_subcarriers=6, n_groups=2, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1)
-    assert len(delay_doppler_cells(cfg)) == 6
-    assert len(enumerate_placements(cfg, 3, distinct=True)) == 20
-    small = SystemConfig(n_subcarriers=8, n_groups=4, alphabet_size=2, max_delay=0, max_doppler=1)
-    assert len(enumerate_placements(small, 4, distinct=True)) == 0
-    assert len(enumerate_placements(small, 4, distinct=False)) == 15
 
 
 def test_effective_channel_regression_fixture():

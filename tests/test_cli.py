@@ -458,6 +458,31 @@ def test_pair_scan_that_cannot_finish_exits_2_naming_the_limit(
     assert not out.exists()
 
 
+def test_grid_with_more_paths_than_cells_is_sized_before_it_is_built(tmp_path, capsys):
+    # 20 paths: C(31, 20) multisets of the 12 reachable cells for the bound, and
+    # C(34, 20) of the 15 grid cells had the diversity scan enumerated them
+    path = tmp_path / "paths20.cfg"
+    path.write_text(
+        "[system]\nn_subcarriers = 4\nn_groups = 2\nalphabet_size = 2\n"
+        "max_delay = 2\nmax_doppler = 2\ncpp_length = 2\n\n[channel]\npaths = 20\n"
+    )
+    for command in ("analyze", "simulate"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2,016 codeword pairs x 84,672,315 supports")
+        assert "exceed the scan limit" in err
+    assert main(["analyze", str(path), "--diversity"]) == 0
+    assert "diversity order mu = 1 (full would be 20)\n" in capsys.readouterr().out
+
+
+def test_optimize_with_one_pre_chirp_value_has_nothing_to_design(capsys):
+    # baseline_afdm: one value over a group of 8 subcarriers carries no index bits
+    assert main(["optimize", "baseline_afdm"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a single pre-chirp value carries no index bits, so there is no alphabet to design\n"
+    )
+
+
 def test_unknown_pso_parameter_exits_2_naming_it(config_path, tmp_path, capsys):
     out = tmp_path / "alpha.txt"
     args = ["optimize", config_path, "--pso-params", "particles=4,swarm=9", "--out", str(out)]

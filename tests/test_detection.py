@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afdm_pim.analysis import diversity_order
 from afdm_pim import suites
 from afdm_pim.channel import (
     ChannelRealization,
@@ -401,9 +400,9 @@ def test_path_outside_the_grid_is_rejected(delay, doppler):
     outside = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, delay]), np.array([1, doppler]))
     with pytest.raises(ValueError, match="outside the grid"):
         detector.detect(r, outside)
-    # the pair scan reads the same cell images, so it rejects the path too
+    # the pair scans read the same cell images, which reject the path too
     with pytest.raises(ValueError, match="outside the grid"):
-        diversity_order(BPSK42, AL2, [outside.geometry])
+        path_image_tensor(BPSK42, AL2, outside.geometry)
     edge = ChannelRealization(np.array([1.0, 0.5j]), np.array([0, BPSK42.max_delay]), np.array([1, -1]))
     bits, metric = detector.detect(r, edge)
     assert bits.shape == (frame_bit_count(BPSK42),) and np.isfinite(metric)

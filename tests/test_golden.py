@@ -9,6 +9,10 @@ the only one whose prefix correction is not identically 1.
 Each swarm case stores the designed alphabet's repr and the convergence log,
 so an optimizer rewrite that moves one swarm decision fails here.
 
+Each diversity case stores the stdout of `analyze --diversity` in
+tests/golden/diversity/, for two presets and for a configuration file with
+more paths than delay-Doppler cells.
+
 An intended change to a golden file needs a reason in CHANGES.md. To rewrite
 the files from the current source:
 
@@ -18,11 +22,14 @@ the files from the current source:
 from __future__ import annotations
 
 import io
+import tempfile
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from afdm_pim.cli import main
 from afdm_pim.config import RandomSource
 from afdm_pim.mapping import frame_bit_count
 from afdm_pim.optimizer import (
@@ -31,10 +38,11 @@ from afdm_pim.optimizer import (
     pso_optimize,
     write_convergence_csv,
 )
-from afdm_pim.simulate import make_preset, run_scenario, write_csv
+from afdm_pim.simulate import PRESETS, make_preset, run_scenario, write_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PSO_DIR = GOLDEN_DIR / "pso"
+DIVERSITY_DIR = GOLDEN_DIR / "diversity"
 
 _SHORT_GRID = (5.0, 10.0, 15.0)
 
@@ -106,9 +114,44 @@ def test_seeded_swarm_matches_golden(stem):
     assert golden_swarm(stem) == expected
 
 
+# file stem -> `analyze --diversity` input: a preset name, or the text of a
+# configuration file, here 4 paths over the 3 cells of d_max = 0, a_max = 1
+DIVERSITY = {
+    "fig8_lo": "fig8_lo",
+    "fig8_hi": "fig8_hi",
+    "paths4_over_3_cells": (
+        "[system]\nn_subcarriers = 4\nn_groups = 2\nalphabet_size = 2\nmax_doppler = 1\n"
+        "\n[channel]\npaths = 4\n"
+    ),
+}
+
+
+def golden_diversity(stem: str) -> str:
+    """The stdout of `analyze --diversity` on the case's preset or configuration file."""
+    source = DIVERSITY[stem]
+    buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if source not in PRESETS:
+            path = Path(tmp) / f"{stem}.cfg"
+            path.write_text(source, encoding="utf-8")
+            source = str(path)
+        with redirect_stdout(buf):
+            status = main(["analyze", source, "--diversity"])
+    if status != 0:
+        raise RuntimeError(f"analyze --diversity exited {status} on {stem}")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("stem", sorted(DIVERSITY))
+def test_diversity_report_matches_golden(stem):
+    expected = (DIVERSITY_DIR / f"{stem}.txt").read_text(encoding="utf-8")
+    assert golden_diversity(stem) == expected
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.csv")) == sorted(CASES)
     assert sorted(p.stem for p in PSO_DIR.glob("*.txt")) == sorted(SWARMS)
+    assert sorted(p.stem for p in DIVERSITY_DIR.glob("*.txt")) == sorted(DIVERSITY)
 
 
 if __name__ == "__main__":
@@ -119,3 +162,7 @@ if __name__ == "__main__":
     for stem in sorted(SWARMS):
         (PSO_DIR / f"{stem}.txt").write_text(golden_swarm(stem), encoding="utf-8")
         print(f"wrote pso/{stem}.txt")
+    DIVERSITY_DIR.mkdir(parents=True, exist_ok=True)
+    for stem in sorted(DIVERSITY):
+        (DIVERSITY_DIR / f"{stem}.txt").write_text(golden_diversity(stem), encoding="utf-8")
+        print(f"wrote diversity/{stem}.txt")

@@ -109,7 +109,7 @@ GEOMETRY = [(0, 0), (1, -1)]
         pytest.param(lambda: detection.path_image_tensor(QAM27, AL2, GEOMETRY), id="path_image_tensor"),
         pytest.param(lambda: detection.MLDetector(QAM27, AL2), id="MLDetector"),
         pytest.param(lambda: analysis.abep_curve_jakes(QAM27, AL2, 2, [0.1]), id="abep_curve_jakes"),
-        pytest.param(lambda: analysis.diversity_order(QAM27, AL2, [GEOMETRY]), id="diversity_order"),
+        pytest.param(lambda: analysis.diversity_order(QAM27, AL2, len(GEOMETRY)), id="diversity_order"),
         pytest.param(lambda: simulate.run_ber_sweep(QAM27_SCENARIO), id="run_ber_sweep"),
         pytest.param(lambda: simulate.theory_points(QAM27_SCENARIO), id="theory_points"),
         pytest.param(lambda: simulate.run_scenario(QAM27_SCENARIO), id="run_scenario"),
