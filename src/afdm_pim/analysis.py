@@ -238,36 +238,6 @@ def diversity_order(cfg: SystemConfig, alphabet: PreChirpAlphabet, p_paths: int)
     return best
 
 
-@dataclass(frozen=True)
-class FullDiversityReport:
-    """Checkable part of the full-diversity conditions, plus the assumed part."""
-
-    p_paths: int
-    placement_capacity: int
-    paths_within_capacity: bool  # P <= (d_max+1)(2*a_max+1)
-    capacity_within_frame: bool  # (d_max+1)(2*a_max+1) <= N
-    condition1: bool
-    condition2_note: str
-
-
-def check_full_diversity_conditions(cfg: SystemConfig, p_paths: int) -> FullDiversityReport:
-    """Evaluate the path-count/capacity condition; irrationality is only assumed."""
-    capacity = cfg.placement_capacity
-    paths_ok = p_paths <= capacity
-    frame_ok = cfg.placement_capacity_ok
-    return FullDiversityReport(
-        p_paths=p_paths,
-        placement_capacity=capacity,
-        paths_within_capacity=paths_ok,
-        capacity_within_frame=frame_ok,
-        condition1=paths_ok and frame_ok,
-        condition2_note=(
-            "assumed: floating point cannot certify that the pre-chirp values "
-            "are irrational"
-        ),
-    )
-
-
 def spectral_efficiency(
     scheme: str, m: int, n_c: int | None = None, a: int | None = None
 ) -> float:

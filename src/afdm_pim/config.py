@@ -91,11 +91,6 @@ class SystemConfig:
         """Number of distinct (delay, Doppler) cells, (d_max+1)*(2*a_max+1)."""
         return (self.max_delay + 1) * (2 * self.max_doppler + 1)
 
-    @property
-    def placement_capacity_ok(self) -> bool:
-        """Whether the delay-Doppler grid fits in one frame (capacity <= N)."""
-        return self.placement_capacity <= self.n_subcarriers
-
 
 def _gray(k: int) -> int:
     return k ^ (k >> 1)

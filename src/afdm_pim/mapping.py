@@ -113,33 +113,41 @@ def _perm_unrank(rank: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Interpret a bit sequence as an unsigned integer, MSB first."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+def bits_to_int(bits) -> np.ndarray:
+    """The unsigned integers whose MSB-first binary forms are the rows of bits
+    (..., w): shape (...), one numpy integer for one row, zeros for w = 0."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Unsigned integer to a width-bit array, MSB first."""
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
+def int_to_bits(values, width: int) -> np.ndarray:
+    """The width-bit binary forms of values (...), MSB first: int8 rows (..., width)."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(values, dtype=np.int64)[..., None] >> shifts) & 1).astype(np.int8)
 
 
 @lru_cache(maxsize=8)
-def group_pattern_codebook(alphabet_size: int, group_size: int) -> tuple[tuple[int, ...], ...]:
-    """The 2**b2 legitimate per-group patterns, in index-word order.
+def group_pattern_codebook(alphabet_size: int, group_size: int) -> np.ndarray:
+    """One group's 2**b2 legitimate patterns (2**b2, N_c) int8, row w the pattern
+    of index word w (cached, read-only).
 
-    These are the lexicographically first permutations of (0, ..., n_c - 1);
-    only alphabet_size == group_size is supported.
+    The rows are the lexicographically first permutations of the sorted
+    assignment, in which each alphabet index fills N_c / lambda subcarriers.
+    Only lambda == N_c (the permutations of 0, ..., N_c - 1) and lambda = 1
+    (b2 = 0: the one all-zero row) are supported.
     """
     lam, n_c = alphabet_size, group_size
-    if lam != n_c:
+    if lam not in (1, n_c):
         raise ValueError(
             f"pattern mapping requires alphabet_size == group_size, got {lam} != {n_c}"
         )
-    b2 = index_bits_per_group(lam, n_c)
-    return tuple(_perm_unrank(r, n_c) for r in range(2**b2))
+    ranks = range(2 ** index_bits_per_group(lam, n_c))
+    sorted_assignment = np.arange(n_c) // (n_c // lam)
+    table = np.array(
+        [sorted_assignment[list(_perm_unrank(r, n_c))] for r in ranks], dtype=np.int8
+    )
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 def index_bits_to_group_pattern(
@@ -150,7 +158,7 @@ def index_bits_to_group_pattern(
     b2 = index_bits_per_group(alphabet_size, group_size)
     if len(bits) != b2:
         raise ValueError(f"expected {b2} index bits, got {len(bits)}")
-    return codebook[bits_to_int(bits)]
+    return tuple(codebook[bits_to_int(bits)].tolist())
 
 
 def bits_to_frame(
@@ -171,12 +179,8 @@ def bits_to_frame(
     assignment: list[int] = []
     for g in range(cfg.n_groups):
         chunk = payload[g * (b1 + b2) : (g + 1) * (b1 + b2)]
-        labels = [bits_to_int(chunk[i * k : (i + 1) * k]) for i in range(n_c)]
-        symbols[g * n_c : (g + 1) * n_c] = const.points[labels]
-        if cfg.alphabet_size == 1:
-            assignment.extend([0] * n_c)
-        else:
-            assignment.extend(index_bits_to_group_pattern(chunk[b1:], cfg.alphabet_size, n_c))
+        symbols[g * n_c : (g + 1) * n_c] = const.points[bits_to_int(chunk[:b1].reshape(n_c, k))]
+        assignment.extend(index_bits_to_group_pattern(chunk[b1:], cfg.alphabet_size, n_c))
     pcpg = PreChirpPatternGroup(assignment=tuple(assignment), group_size=n_c)
     return Frame(payload_bits=payload, symbols=symbols, pcpg=pcpg)
 
@@ -198,36 +202,18 @@ def enumerate_codewords(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> Iterat
         yield bits_to_frame(int_to_bits(value, b_total), cfg, alphabet)
 
 
-def _value_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Rows of the width-bit binary forms of values, MSB first (int8)."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-
-
-def _group_patterns(cfg: SystemConfig) -> np.ndarray:
-    """One group's legitimate patterns (2**b2, N_c), in index-word order."""
-    if cfg.alphabet_size == 1:  # b2 = 0: every group's index word is 0, the all-zero pattern
-        return np.zeros((1, cfg.group_size), dtype=np.int8)
-    return np.array(group_pattern_codebook(cfg.alphabet_size, cfg.group_size), dtype=np.int8)
-
-
 def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symbols (R, N) complex and pattern assignments (R, N) int8 of the codewords
     whose payloads are the B-bit forms of values (R,), as in `bits_to_frame`."""
-    values = np.asarray(values, dtype=np.int64)
     rows = len(values)
-    const = constellation_for(cfg)
     n, n_c, k = cfg.n_subcarriers, cfg.group_size, cfg.bits_per_symbol
     b1 = n_c * k
     b2 = index_bits_per_group(cfg.alphabet_size, n_c)
-    weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    w2 = (1 << np.arange(b2 - 1, -1, -1)).astype(np.int64)
-    per_group = _value_bits(values, frame_bit_count(cfg)).reshape(rows, cfg.n_groups, b1 + b2)
-    sym_bits = per_group[:, :, :b1].reshape(rows, cfg.n_groups, n_c, k)
-    labels = np.tensordot(sym_bits, weights, axes=([3], [0]))
-    words = np.tensordot(per_group[:, :, b1:], w2, axes=([2], [0]))
-    symbols = const.points[labels].reshape(rows, n)
-    return symbols, _group_patterns(cfg)[words].reshape(rows, n)
+    per_group = int_to_bits(values, frame_bit_count(cfg)).reshape(rows, cfg.n_groups, b1 + b2)
+    labels = bits_to_int(per_group[:, :, :b1].reshape(rows, cfg.n_groups, n_c, k))
+    words = bits_to_int(per_group[:, :, b1:])
+    symbols = constellation_for(cfg).points[labels].reshape(rows, n)
+    return symbols, group_pattern_codebook(cfg.alphabet_size, n_c)[words].reshape(rows, n)
 
 
 @lru_cache(maxsize=8)
@@ -235,14 +221,15 @@ def codeword_table(cfg: SystemConfig, /) -> np.ndarray:
     """The codebook's payloads (C, B) int8 in payload order, row c the B-bit form
     of c (cached, read-only); `codeword_rows` derives any rows' symbols and patterns."""
     count = codeword_count(cfg)
-    _group_patterns(cfg)  # rejects an unsupported pattern mapping before any row is built
+    # rejects an unsupported pattern mapping before any row is built
+    group_pattern_codebook(cfg.alphabet_size, cfg.group_size)
     b_total = frame_bit_count(cfg)
     # codeword c = i * 2^(B - b_h) + j: the b_h bits of i, then the bits of j
     b_head = b_total // 2
     n_head = 2**b_head
     payload = np.empty((count, b_total), dtype=np.int8)
     pairs = payload.reshape(n_head, count // n_head, b_total)
-    pairs[:, :, :b_head] = _value_bits(np.arange(n_head), b_head)[:, None]
-    pairs[:, :, b_head:] = _value_bits(np.arange(count // n_head), b_total - b_head)[None]
+    pairs[:, :, :b_head] = int_to_bits(np.arange(n_head), b_head)[:, None]
+    pairs[:, :, b_head:] = int_to_bits(np.arange(count // n_head), b_total - b_head)[None]
     payload.flags.writeable = False  # shared by every caller of the cache
     return payload

@@ -65,14 +65,13 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
     """Enumerate patterns, Hamming-2 pairs, and distinct-cell placements."""
     n, n_c = cfg.n_subcarriers, cfg.group_size
     lam = cfg.alphabet_size
-    if lam == 1 and n_c > 1:
+    if lam == 1:
         raise ValueError(
             "a single pre-chirp value carries no index bits, so there is no alphabet to design"
         )
-    if lam != n_c:
-        raise ValueError("the pattern codebook requires alphabet_size == group size")
     # the Hamming tensor below holds every pattern pair; with one group these
-    # are the pairs `_collision_terms` enumerates as well
+    # are the pairs `_collision_terms` enumerates as well. They are counted
+    # before the pattern table is built.
     n_patterns = (2 ** index_bits_per_group(lam, n_c)) ** cfg.n_groups
     n_pairs = n_patterns * (n_patterns - 1) // 2
     if n_pairs > MAX_CODEWORDS:
@@ -80,6 +79,7 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
             f"{n_patterns:,} patterns make {n_pairs:,} pattern pairs, above the "
             f"enumeration limit {MAX_CODEWORDS:,}"
         )
+    group_patterns = group_pattern_codebook(lam, n_c)
     if p_paths < 1:
         raise ValueError("p_paths must be >= 1")
     if p_paths > cfg.placement_capacity:
@@ -89,11 +89,10 @@ def build_objective_context(cfg: SystemConfig, p_paths: int) -> ObjectiveContext
         )
     placements = tuple(combinations(delay_doppler_cells(cfg), p_paths))
 
-    group_patterns = group_pattern_codebook(lam, n_c)
+    # frame pattern r: the group patterns of r's base-2^b2 digits, group 0 first
     patterns = np.array(
-        [sum(combo, ()) for combo in product(group_patterns, repeat=cfg.n_groups)],
-        dtype=np.int8,
-    )
+        list(product(group_patterns, repeat=cfg.n_groups)), dtype=np.int8
+    ).reshape(n_patterns, n)
     hamming = np.count_nonzero(patterns[:, None, :] != patterns[None, :, :], axis=2)
     pair_j, pair_k = np.nonzero(np.triu(hamming == 2, 1))
 
@@ -368,18 +367,9 @@ def pso_optimize(
     before fitness.
     """
     lam = cfg.alphabet_size
-    heuristic = uniform_heuristic(lam)
-    if lam == 1:
-        # no pattern pairs exist; the single value is returned unchanged
-        return PsoResult(
-            alphabet=PreChirpAlphabet((float(heuristic[0]),)),
-            fitness=math.nan,
-            history=((0, math.nan),),
-        )
-
     n_p = params.n_particles
     positions = np.empty((n_p, lam), dtype=float)
-    positions[0] = heuristic
+    positions[0] = uniform_heuristic(lam)
     if n_p > 1:
         positions[1:] = rng.uniform(0.0, 1.0, size=(n_p - 1, lam))
     velocities = np.zeros_like(positions)

@@ -12,7 +12,7 @@ from .analysis import abep_curve_jakes, bound_supports
 from .channel import ChannelRealization, apply_channel_batch, complex_awgn, draw_paths
 from .config import RandomSource, SystemConfig, read_section, system_config_from_items
 from .detection import MLDetector, count_bit_errors
-from .mapping import PreChirpAlphabet, frame_bit_count, load_alphabet
+from .mapping import PreChirpAlphabet, bits_to_int, frame_bit_count, load_alphabet
 from .transceiver import add_cpp
 
 CSV_HEADER = "scheme,snr_db,kind,bits,errors,ber,seed"
@@ -110,7 +110,6 @@ def run_ber_sweep(scenario: Scenario) -> list[BerPoint]:
     """
     cfg, alphabet = scenario.cfg, scenario.alphabet
     b_total = frame_bit_count(cfg)
-    weights = (1 << np.arange(b_total - 1, -1, -1)).astype(np.int64)
     source = RandomSource(scenario.seed)
     points: list[BerPoint] = []
     bits = 0
@@ -130,7 +129,7 @@ def run_ber_sweep(scenario: Scenario) -> list[BerPoint]:
                 # only the frames the bit budget can reach are channelled; the whole
                 # chunk's noise is still drawn, so no seeded stream depends on it
                 frames = min(_CHUNK_FRAMES, -(-(scenario.min_bits - bits) // b_total))
-                codeword_idx = payload[:frames].astype(np.int64) @ weights
+                codeword_idx = bits_to_int(payload[:frames])
                 prefixed = add_cpp(detector.candidates[codeword_idx], cfg)
                 received = apply_channel_batch(
                     prefixed, gains[:frames], delays[:frames], dopplers[:frames], cfg

@@ -117,10 +117,10 @@ def test_06_diversity_orders():
     al2 = ap.PreChirpAlphabet(ap.TABLE_ALPHABETS[2])
     mu_def = ap.diversity_order(cfg_def, al2, 4)
 
-    ok = mu_full == 3 and mu_def < 4
+    ok = mu_full == 3 and mu_def == 1
     _report(6, "diversity order scans", ok,
             f"full-diversity config mu={mu_full} (want 3); "
-            f"capacity-violating config mu={mu_def} (want <4)")
+            f"capacity-violating config mu={mu_def} (want 1)")
     assert ok
 
 

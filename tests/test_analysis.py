@@ -4,10 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from afdm_pim import analysis
+from afdm_pim import analysis, cli
 from afdm_pim.analysis import (
     abep_curve_jakes,
-    check_full_diversity_conditions,
     diversity_order,
     jakes_cell_pmf,
     jakes_doppler_pmf,
@@ -217,22 +216,32 @@ def test_scan_limit_admits_a_scan_of_exactly_its_size(monkeypatch):
         diversity_order(BPSK42, AL2, 1)
 
 
-def test_full_diversity_condition_examples():
-    cfg_ok = SystemConfig(n_subcarriers=6, n_groups=2, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1)
-    rep = check_full_diversity_conditions(cfg_ok, 3)
-    assert rep.condition1 and rep.paths_within_capacity and rep.capacity_within_frame
-    assert rep.placement_capacity == 6
-
-    cfg_paths = SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=0, max_doppler=1)
-    rep2 = check_full_diversity_conditions(cfg_paths, 4)
-    assert not rep2.paths_within_capacity and rep2.capacity_within_frame
-    assert not rep2.condition1
-
-    cfg_frame = SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=2, max_doppler=2, cpp_length=2)
-    rep3 = check_full_diversity_conditions(cfg_frame, 3)
-    assert rep3.paths_within_capacity and not rep3.capacity_within_frame
-    assert not rep3.condition1
-    assert "assumed" in rep3.condition2_note
+def test_full_diversity_condition_examples(tmp_path, monkeypatch, capsys):
+    # the condition lines of `analyze --diversity`, read from P, the capacity and
+    # N alone; the scan is replaced, since the last config's would not finish
+    monkeypatch.setattr(cli, "diversity_order", lambda cfg, alphabet, p_paths: 0)
+    cases = [
+        # capacity 6 = N: both bounds hold with equality
+        ("n_subcarriers = 6\nn_groups = 2\nalphabet_size = 3\nmax_delay = 1\n"
+         "max_doppler = 1\ncpp_length = 1", 3, 6, (True, True, True)),
+        ("n_subcarriers = 8\nn_groups = 2\nalphabet_size = 4\nmax_delay = 0\n"
+         "max_doppler = 1", 4, 3, (False, True, False)),
+        ("n_subcarriers = 8\nn_groups = 2\nalphabet_size = 4\nmax_delay = 2\n"
+         "max_doppler = 2\ncpp_length = 2", 3, 15, (True, False, False)),
+    ]
+    path = tmp_path / "case.cfg"
+    for system, paths, capacity, (within, fits, condition1) in cases:
+        path.write_text(f"[system]\n{system}\n\n[channel]\npaths = {paths}\n")
+        assert cli.main(["analyze", str(path), "--diversity"]) == 0
+        assert capsys.readouterr().out.splitlines()[:6] == [
+            f"paths P = {paths}",
+            f"placement capacity (d_max+1)(2*a_max+1) = {capacity}",
+            f"P <= capacity: {within}",
+            f"capacity <= N: {fits}",
+            f"condition 1 satisfied: {condition1}",
+            "condition 2: assumed: floating point cannot certify that the pre-chirp "
+            "values are irrational",
+        ]
 
 
 def test_spectral_efficiency_values():

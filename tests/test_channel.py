@@ -198,7 +198,7 @@ def test_noise_requires_rng():
 
 def test_offsets_distinct_under_capacity_condition():
     cfg = SystemConfig(n_subcarriers=6, n_groups=2, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1)
-    assert cfg.placement_capacity_ok
+    assert cfg.placement_capacity <= cfg.n_subcarriers
     offsets = {path_offset(cfg, d, a) for d, a in delay_doppler_cells(cfg)}
     assert len(offsets) == cfg.placement_capacity
 

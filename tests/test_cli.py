@@ -475,12 +475,21 @@ def test_grid_with_more_paths_than_cells_is_sized_before_it_is_built(tmp_path, c
     assert "diversity order mu = 1 (full would be 20)\n" in capsys.readouterr().out
 
 
-def test_optimize_with_one_pre_chirp_value_has_nothing_to_design(capsys):
-    # baseline_afdm: one value over a group of 8 subcarriers carries no index bits
-    assert main(["optimize", "baseline_afdm"]) == 2
-    assert capsys.readouterr().err == (
-        "error: a single pre-chirp value carries no index bits, so there is no alphabet to design\n"
+def test_optimize_with_one_pre_chirp_value_has_nothing_to_design(tmp_path, capsys):
+    # baseline_afdm: one value over a group of 8 subcarriers; the file: one value
+    # on each of N = G = 4 single-subcarrier groups. Neither carries index bits.
+    one_per_group = tmp_path / "one_per_group.cfg"
+    one_per_group.write_text(
+        "[system]\nn_subcarriers = 4\nn_groups = 4\nalphabet_size = 1\nmax_doppler = 1\n"
+        "\n[alphabet]\nvalues = 0.5\n"
     )
+    for config in ("baseline_afdm", str(one_per_group)):
+        assert main(["optimize", config]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: a single pre-chirp value carries no index bits, so there is no "
+            "alphabet to design\n",
+        )
 
 
 def test_unknown_pso_parameter_exits_2_naming_it(config_path, tmp_path, capsys):

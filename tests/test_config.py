@@ -62,11 +62,9 @@ def test_post_chirp_must_be_finite_and_non_negative(bad):
 def test_placement_capacity_metadata():
     ok = SystemConfig(n_subcarriers=6, n_groups=2, alphabet_size=3, max_delay=1, max_doppler=1, cpp_length=1)
     assert ok.placement_capacity == 6
-    assert ok.placement_capacity_ok
     # capacity exceeding the frame is reported, not rejected
     tight = SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=2, max_doppler=2, cpp_length=2)
     assert tight.placement_capacity == 15
-    assert not tight.placement_capacity_ok
 
 
 def test_default_c1_times_delay_is_integral():

@@ -11,12 +11,15 @@ from afdm_pim.mapping import (
     MAX_CODEWORDS,
     EnumerationCapExceeded,
     PreChirpAlphabet,
+    _perm_unrank,
     bits_to_frame,
+    bits_to_int,
     codeword_count,
     codeword_rows,
     codeword_table,
     enumerate_codewords,
     frame_bit_count,
+    group_pattern_codebook,
     index_bits_per_group,
     index_bits_to_group_pattern,
     int_to_bits,
@@ -58,6 +61,39 @@ def test_pattern_codebook_matches_published_table():
         assert index_bits_to_group_pattern(bits, 4, 4) == expected
 
 
+def test_pattern_table_is_read_only():
+    table = group_pattern_codebook(4, 4)
+    assert table.dtype == np.int8 and table.shape == (16, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
+@pytest.mark.parametrize("n_c", [1, 4, 8])
+def test_single_value_pattern_table_is_one_zero_row(n_c):
+    # b2 = 0: the one index word, of no bits, selects the all-zero pattern
+    assert np.array_equal(group_pattern_codebook(1, n_c), np.zeros((1, n_c), dtype=np.int8))
+
+
+@pytest.mark.parametrize("n_c", [1, 2, 3, 4, 5])
+def test_pattern_table_rows_are_the_first_permutations_in_order(n_c):
+    table = group_pattern_codebook(n_c, n_c)
+    assert len(table) == 2 ** index_bits_per_group(n_c, n_c)
+    assert [tuple(row) for row in table.tolist()] == [
+        _perm_unrank(r, n_c) for r in range(len(table))
+    ]
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 20])
+def test_bit_conversions_invert_each_other_on_arrays(width):
+    top = 2**width - 1  # 0 for the b2 = 0 index word
+    values = np.array([[0, top], [top // 3, 2**width // 2]])
+    bits = int_to_bits(values, width)
+    assert bits.shape == values.shape + (width,) and bits.dtype == np.int8
+    assert np.array_equal(bits_to_int(bits), values)
+    # one row: MSB first, as the payload convention reads it
+    assert bits_to_int(int_to_bits(5, 3)) == 5 and int_to_bits(5, 3).tolist() == [1, 0, 1]
+
+
 def test_pattern_examples():
     assert index_bits_to_group_pattern([0, 0, 0, 0], 4, 4) == (0, 1, 2, 3)
     assert index_bits_to_group_pattern([1, 1, 1, 1], 4, 4) == (2, 1, 3, 0)
@@ -69,6 +105,10 @@ def test_pattern_mapping_rejections():
         index_bits_to_group_pattern([0, 0], 4, 2)
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
         codeword_table(SystemConfig(n_subcarriers=4, n_groups=1, alphabet_size=2))
+    with pytest.raises(ValueError, match="alphabet_size == group_size"):
+        optimizer.build_objective_context(
+            SystemConfig(n_subcarriers=4, n_groups=1, alphabet_size=2, max_doppler=1), 1
+        )
 
 
 def test_all_zero_payload():

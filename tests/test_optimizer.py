@@ -351,14 +351,6 @@ def _small_params():
     return PsoParams(n_particles=16, max_iterations=12)
 
 
-def test_pso_degenerate_single_value():
-    cfg = SystemConfig(n_subcarriers=4, n_groups=4, alphabet_size=1, max_doppler=1)
-    ctx_placeholder = None  # not consulted for a single-value alphabet
-    res = pso_optimize(cfg, ctx_placeholder, _small_params(), RandomSource(1).generator())
-    assert res.alphabet.values == (0.5,)
-    assert math.isnan(res.fitness)
-
-
 def test_pso_deterministic_and_never_below_heuristic():
     ctx = build_objective_context(CFG_PSK, 2)
     a = pso_optimize(CFG_PSK, ctx, _small_params(), RandomSource(5).generator())
