@@ -13,7 +13,6 @@ from .mapping import (
     bits_to_frame,
     enumerate_codewords,
     frame_bit_count,
-    index_bits_to_group_pattern,
 )
 from .simulate import (
     TABLE_ALPHABETS,

@@ -1,4 +1,4 @@
-"""Bit mapping: payload bits <-> (symbol vector, pre-chirp pattern group)."""
+"""Bit mapping: payload bits <-> (symbol vector, pre-chirp pattern)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,10 @@ import numpy as np
 from .config import SystemConfig, constellation_for
 
 # the largest codebook any table or scan enumerates: ML detection and the
-# union bound both visit all 2^B codewords, and configs come from outside
+# union bound both visit all 2^B codewords, and configs come from outside.
+# It also caps the optimizer's pattern pairs: their Hamming tensor holds about
+# two N-entry rows per pair, as a codebook table holds N-entry rows per
+# codeword, so one limit bounds both tables' memory and build time alike.
 MAX_CODEWORDS = 2**20
 
 
@@ -57,29 +60,15 @@ def save_alphabet(alphabet: PreChirpAlphabet, path: str) -> None:
             fh.write(f"{v:.12g}\n")
 
 
-@dataclass(frozen=True)
-class PreChirpPatternGroup:
-    """Frame-wide assignment of alphabet indices, one per subcarrier."""
-
-    assignment: tuple[int, ...]
-    group_size: int
-
-    def __post_init__(self) -> None:
-        if len(self.assignment) % self.group_size != 0:
-            raise ValueError("assignment length must be a multiple of group_size")
-
-    def values(self, alphabet: PreChirpAlphabet) -> np.ndarray:
-        """Per-subcarrier pre-chirp values c2[m]."""
-        return alphabet.array[np.asarray(self.assignment)]
-
-
 @dataclass(eq=False)
 class Frame:
-    """Payload bits with the derived symbol vector and pattern group."""
+    """Payload bits with the derived symbol vector and pre-chirp pattern: pcpg (N,)
+    int8 holds each subcarrier's alphabet index, the frame's `group_pattern_codebook`
+    rows group after group."""
 
     payload_bits: np.ndarray
     symbols: np.ndarray
-    pcpg: PreChirpPatternGroup
+    pcpg: np.ndarray
 
 
 def index_bits_per_group(alphabet_size: int, group_size: int) -> int:
@@ -150,21 +139,10 @@ def group_pattern_codebook(alphabet_size: int, group_size: int) -> np.ndarray:
     return table
 
 
-def index_bits_to_group_pattern(
-    bits: Sequence[int], alphabet_size: int, group_size: int
-) -> tuple[int, ...]:
-    """Map b2 index bits to one group's pattern (a permutation of alphabet indices)."""
-    codebook = group_pattern_codebook(alphabet_size, group_size)
-    b2 = index_bits_per_group(alphabet_size, group_size)
-    if len(bits) != b2:
-        raise ValueError(f"expected {b2} index bits, got {len(bits)}")
-    return tuple(codebook[bits_to_int(bits)].tolist())
-
-
 def bits_to_frame(
     payload: Sequence[int], cfg: SystemConfig, alphabet: PreChirpAlphabet
 ) -> Frame:
-    """Split payload into per-group symbol bits and index bits; build the frame."""
+    """The frame of one payload: per group, its symbol bits then its index bits."""
     if len(alphabet) != cfg.alphabet_size:
         raise ValueError("alphabet length does not match cfg.alphabet_size")
     payload = np.asarray(payload, dtype=np.int8)
@@ -175,13 +153,14 @@ def bits_to_frame(
     n_c, k = cfg.group_size, cfg.bits_per_symbol
     b1 = n_c * k
     b2 = index_bits_per_group(cfg.alphabet_size, n_c)
+    codebook = group_pattern_codebook(cfg.alphabet_size, n_c)
     symbols = np.empty(cfg.n_subcarriers, dtype=complex)
-    assignment: list[int] = []
+    pcpg = np.empty(cfg.n_subcarriers, dtype=np.int8)
     for g in range(cfg.n_groups):
         chunk = payload[g * (b1 + b2) : (g + 1) * (b1 + b2)]
-        symbols[g * n_c : (g + 1) * n_c] = const.points[bits_to_int(chunk[:b1].reshape(n_c, k))]
-        assignment.extend(index_bits_to_group_pattern(chunk[b1:], cfg.alphabet_size, n_c))
-    pcpg = PreChirpPatternGroup(assignment=tuple(assignment), group_size=n_c)
+        group = slice(g * n_c, (g + 1) * n_c)
+        symbols[group] = const.points[bits_to_int(chunk[:b1].reshape(n_c, k))]
+        pcpg[group] = codebook[bits_to_int(chunk[b1:])]
     return Frame(payload_bits=payload, symbols=symbols, pcpg=pcpg)
 
 
@@ -203,8 +182,8 @@ def enumerate_codewords(cfg: SystemConfig, alphabet: PreChirpAlphabet) -> Iterat
 
 
 def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols (R, N) complex and pattern assignments (R, N) int8 of the codewords
-    whose payloads are the B-bit forms of values (R,), as in `bits_to_frame`."""
+    """Symbols (R, N) complex and patterns (R, N) int8 of the codewords whose
+    payloads are the B-bit forms of values (R,), as in `bits_to_frame`."""
     rows = len(values)
     n, n_c, k = cfg.n_subcarriers, cfg.group_size, cfg.bits_per_symbol
     b1 = n_c * k

@@ -13,10 +13,11 @@ from .config import RandomSource, SystemConfig, constellation_for
 from .detection import Geometry
 from .mapping import (
     PreChirpAlphabet,
-    PreChirpPatternGroup,
     bits_to_frame,
+    bits_to_int,
     codeword_count,
     frame_bit_count,
+    int_to_bits,
 )
 from .optimizer import (
     ObjectiveContext,
@@ -68,52 +69,28 @@ def orthogonality_suite() -> list[CheckResult]:
     return results
 
 
-def path_chirp_entries(
-    cfg: SystemConfig, c2: np.ndarray, delay: int, doppler: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form unit-gain chirp-domain H_p under per-subcarrier pre-chirps c2:
-    row n holds one unit-modulus entry, at column (n + path offset) mod N.
-
-    Returns the column and the entry of every row.
-    """
+def closed_form_paths(cfg: SystemConfig, c2: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """The paper's closed-form unit-gain chirp-domain matrices H_p (P, N, N) of the
+    paths at the (delay, Doppler) cells of geometry, under per-subcarrier pre-chirps
+    c2 (N,): row n of H_p holds one unit-modulus entry, at column (n + path offset) mod N."""
     n = cfg.n_subcarriers
-    loc = path_offset(cfg, delay, doppler)
     row = np.arange(n)
-    col = (row + loc) % n
-    phase = np.exp(
-        2j
-        * np.pi
-        * (
-            c2[col] * col**2
-            - c2[row] * row**2
-            + cfg.post_chirp * delay**2
-            - col * delay / n
-        )
-    )
-    return col, phase
-
-
-def closed_form_paths(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    pcpg: PreChirpPatternGroup,
-    geometry: Geometry,
-) -> np.ndarray:
-    """The unit-gain chirp-domain matrices H_p (P, N, N) of the paths at the
-    (delay, Doppler) cells of geometry, under one frame's pre-chirp pattern."""
-    n = cfg.n_subcarriers
-    c2 = pcpg.values(alphabet)
     per_path = np.zeros((len(geometry), n, n), dtype=complex)
     for h_p, (d, a) in zip(per_path, geometry):
-        col, phase = path_chirp_entries(cfg, c2, int(d), int(a))
-        h_p[np.arange(n), col] = phase
+        d = int(d)
+        col = (row + path_offset(cfg, d, int(a))) % n
+        h_p[row, col] = np.exp(
+            2j
+            * np.pi
+            * (c2[col] * col**2 - c2[row] * row**2 + cfg.post_chirp * d**2 - col * d / n)
+        )
     return per_path
 
 
 def channel_suite() -> list[CheckResult]:
     """The sample-level pipeline and the detector's CSI operator against the
     paper's closed form sum_p h_p H_p x, where each H_p has one unit-modulus
-    entry per row (`path_chirp_entries`).
+    entry per row (`closed_form_paths`).
 
     The sample-level route is `modulate`, `add_cpp`, `apply_channel_time`,
     `remove_cpp` and `build_daft`; the CSI operator is `time_domain_operator`.
@@ -133,7 +110,7 @@ def channel_suite() -> list[CheckResult]:
         for _ in range(CHANNEL_DRAWS):
             frame = bits_to_frame(rng.integers(0, 2, b_total), cfg, alphabet)
             ch = sample_channel(cfg, p_paths, rng)
-            per_path = closed_form_paths(cfg, alphabet, frame.pcpg, ch.geometry)
+            per_path = closed_form_paths(cfg, alphabet.array[frame.pcpg], ch.geometry)
             closed_form = np.tensordot(ch.gains, per_path, 1) @ frame.symbols
             a_mat = build_daft(cfg, alphabet, frame.pcpg)
             s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
@@ -154,12 +131,11 @@ def channel_suite() -> list[CheckResult]:
 
 
 def _all_symbol_vectors(cfg: SystemConfig) -> np.ndarray:
-    const = constellation_for(cfg)
-    m, n = const.order, cfg.n_subcarriers
-    count = m**n
-    idx = np.arange(count)
-    digits = (idx[:, None] // m ** np.arange(n - 1, -1, -1)[None, :]) % m
-    return const.points[digits]
+    """Every symbol vector (M^N, N), row x the one whose MSB-first labels are the
+    N log2(M) bits of x."""
+    n, k = cfg.n_subcarriers, cfg.bits_per_symbol
+    bits = int_to_bits(np.arange(2 ** (n * k)), n * k).reshape(-1, n, k)
+    return constellation_for(cfg).points[bits_to_int(bits)]
 
 
 def _pattern_phi(
@@ -167,12 +143,9 @@ def _pattern_phi(
 ) -> np.ndarray:
     """Codeword-channel columns (C, N, P) of symbol vectors under one pattern:
     entry [c, n, p] is (H_p x_c)[n] for the unit-gain path at geometry[p]."""
-    c2 = values[pattern]
-    out = np.empty(symbols.shape + (len(geometry),), dtype=complex)
-    for p, (d, a) in enumerate(geometry):
-        col, phase = path_chirp_entries(cfg, c2, d, a)
-        out[:, :, p] = phase * symbols[:, col]
-    return out
+    rows = closed_form_paths(cfg, values[pattern], geometry).transpose(1, 0, 2)  # (N, P, N)
+    # each row of H_p has one non-zero entry, so each sum adds only zeros to it
+    return np.sum(rows[None] * symbols[:, None, None, :], axis=-1)
 
 
 def _pair_phis(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig
-from .mapping import PreChirpAlphabet, PreChirpPatternGroup
+from .mapping import PreChirpAlphabet
 
 
 def chirp_basis(n: int, c1: float, c2: float | np.ndarray) -> np.ndarray:
@@ -21,22 +21,17 @@ def chirp_basis(n: int, c1: float, c2: float | np.ndarray) -> np.ndarray:
     return pre[:, None] * idft * post
 
 
-def build_daft(
-    cfg: SystemConfig, alphabet: PreChirpAlphabet, pcpg: PreChirpPatternGroup
-) -> np.ndarray:
+def build_daft(cfg: SystemConfig, alphabet: PreChirpAlphabet, pcpg: np.ndarray) -> np.ndarray:
     """The forward transform A = Lambda_c2 @ F @ Lambda_c1 (N, N) for one frame's
-    pre-chirp pattern: the conjugate of its `chirp_basis`."""
+    pre-chirp pattern pcpg (N,) of alphabet indices: the conjugate of its `chirp_basis`."""
     n = cfg.n_subcarriers
-    if len(pcpg.assignment) != n:
+    if len(pcpg) != n:
         raise ValueError("pattern length does not match n_subcarriers")
-    return chirp_basis(n, cfg.post_chirp, pcpg.values(alphabet)).conj()
+    return chirp_basis(n, cfg.post_chirp, alphabet.array[pcpg]).conj()
 
 
 def modulate(
-    x: np.ndarray,
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    pcpg: PreChirpPatternGroup,
+    x: np.ndarray, cfg: SystemConfig, alphabet: PreChirpAlphabet, pcpg: np.ndarray
 ) -> np.ndarray:
     """Time-domain samples s = A^H x (no prefix)."""
     x = np.asarray(x, dtype=complex)

@@ -86,10 +86,13 @@ def test_04_pattern_codebook_table():
         (1, 2, 0, 3), (1, 2, 3, 0), (1, 3, 0, 2), (1, 3, 2, 0),
         (2, 0, 1, 3), (2, 0, 3, 1), (2, 1, 0, 3), (2, 1, 3, 0),
     ]
-    got = [
-        ap.index_bits_to_group_pattern(ap.mapping.int_to_bits(w, 4), 4, 4)
-        for w in range(16)
-    ]
+    # one group of N_c = lambda = 4 BPSK symbols: 4 symbol bits, then 4 index bits
+    cfg = _bpsk(4, 1, 4, 0, 1)
+    al4 = ap.PreChirpAlphabet(ap.TABLE_ALPHABETS[4])
+    got = []
+    for w in range(16):
+        payload = np.r_[np.zeros(4, dtype=int), ap.mapping.int_to_bits(w, 4)]
+        got.append(tuple(ap.bits_to_frame(payload, cfg, al4).pcpg.tolist()))
     ok = got == expected
     _report(4, "16-row pattern codebook", ok, f"{sum(g == e for g, e in zip(got, expected))}/16 rows match")
     assert ok

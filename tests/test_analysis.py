@@ -48,6 +48,14 @@ def test_pairwise_difference_spectrum_matches_svd():
     assert pair.eigenvalues.min() >= 0
 
 
+@pytest.mark.parametrize("ratio,rank", [(1e-7, 2), (1e-10, 1)])
+def test_rank_counts_eigenvalues_above_the_relative_tolerance(ratio, rank):
+    # a Gram 9 * diag(1, ratio): the tolerance lies between the two ratios
+    delta = np.zeros((4, 2), dtype=complex)
+    delta[0, 0], delta[1, 1] = 3.0, 3.0 * math.sqrt(ratio)
+    assert pairwise_difference(np.zeros_like(delta), delta).rank == rank
+
+
 def test_upep_zero_distance_limit():
     z = np.zeros((6, 3), dtype=complex)
     pair = pairwise_difference(z, z)

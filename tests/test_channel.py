@@ -13,7 +13,7 @@ from afdm_pim.channel import (
     time_domain_operator,
 )
 from afdm_pim.config import RandomSource, SystemConfig
-from afdm_pim.mapping import PreChirpAlphabet, PreChirpPatternGroup, bits_to_frame, frame_bit_count
+from afdm_pim.mapping import PreChirpAlphabet, bits_to_frame, frame_bit_count
 from afdm_pim.suites import closed_form_paths
 from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
@@ -91,7 +91,7 @@ def test_path_offset_examples():
 def test_identity_channel_gives_identity_matrix():
     rng = RandomSource(6).generator()
     frame = _frame(rng)
-    assert np.array_equal(closed_form_paths(CFG, AL4, frame.pcpg, [(0, 0)])[0], np.eye(8))
+    assert np.array_equal(closed_form_paths(CFG, AL4.array[frame.pcpg], [(0, 0)])[0], np.eye(8))
     ident = ChannelRealization(np.array([1.0 + 0j]), np.array([0]), np.array([0]))
     assert np.max(np.abs(time_domain_operator(ident, CFG) - np.eye(8))) < 1e-10
 
@@ -100,7 +100,7 @@ def test_per_path_structure_single_unit_entry_per_row():
     rng = RandomSource(7).generator()
     frame = _frame(rng)
     ch = sample_channel(CFG, 3, rng)
-    per_path = closed_form_paths(CFG, AL4, frame.pcpg, ch.geometry)
+    per_path = closed_form_paths(CFG, AL4.array[frame.pcpg], ch.geometry)
     for h_p, (d, a) in zip(per_path, ch.geometry):
         loc = path_offset(CFG, d, a)
         nz = np.abs(h_p) > 1e-12
@@ -120,7 +120,7 @@ def test_effective_matrix_frobenius_tracks_gains():
         delays=np.array([0, 1, 2]),
         dopplers=np.array([0, 1, -1]),
     )
-    matrix = np.tensordot(ch.gains, closed_form_paths(CFG, AL4, frame.pcpg, ch.geometry), 1)
+    matrix = np.tensordot(ch.gains, closed_form_paths(CFG, AL4.array[frame.pcpg], ch.geometry), 1)
     assert len({path_offset(CFG, d, a) for d, a in ch.geometry}) == 3
     expected = np.sum(np.abs(ch.gains) ** 2) * 8
     assert np.linalg.norm(matrix, "fro") ** 2 == pytest.approx(expected)
@@ -137,7 +137,7 @@ def test_time_domain_operator_equals_sample_route():
         frame = _frame(rng, cfg, alphabet)
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         ch = ChannelRealization(gains, *(np.array(v) for v in zip(*geometry)))
-        per_path = closed_form_paths(cfg, alphabet, frame.pcpg, geometry)
+        per_path = closed_form_paths(cfg, alphabet.array[frame.pcpg], geometry)
         closed = np.tensordot(gains, per_path, 1) @ frame.symbols
         a = build_daft(cfg, alphabet, frame.pcpg)
         s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
@@ -211,8 +211,8 @@ def test_effective_channel_regression_fixture():
         delays=np.array([0, 1, 2]),
         dopplers=np.array([1, -1, 0]),
     )
-    pcpg = PreChirpPatternGroup(assignment=(0, 1, 2, 3, 3, 1, 0, 2), group_size=4)
-    matrix = np.tensordot(ch.gains, closed_form_paths(CFG, AL4, pcpg, ch.geometry), 1)
+    pcpg = np.array([0, 1, 2, 3, 3, 1, 0, 2], dtype=np.int8)
+    matrix = np.tensordot(ch.gains, closed_form_paths(CFG, AL4.array[pcpg], ch.geometry), 1)
     assert tuple(path_offset(CFG, d, a) for d, a in ch.geometry) == (1, 4, 2)
     expected = {
         (0, 1): 0.423174325698757 + 0.493379661183355j,

@@ -95,8 +95,7 @@ SPLIT_CASES = [
 def test_pattern_phi_identity_geometry_returns_x():
     rng = RandomSource(1).generator()
     frame = bits_to_frame(rng.integers(0, 2, frame_bit_count(CFG8)), CFG8, AL4)
-    pattern = np.asarray(frame.pcpg.assignment)
-    phi = suites._pattern_phi(AL4.array, pattern, frame.symbols[None, :], [(0, 0)], CFG8)
+    phi = suites._pattern_phi(AL4.array, frame.pcpg, frame.symbols[None, :], [(0, 0)], CFG8)
     assert phi.shape == (1, 8, 1)
     assert np.allclose(phi[0, :, 0], frame.symbols)
 
@@ -110,9 +109,8 @@ def test_phi_times_gains_equals_effective_channel():
         for _ in range(50):
             frame = bits_to_frame(rng.integers(0, 2, frame_bit_count(cfg)), cfg, alphabet)
             ch = sample_channel(cfg, 3, rng)
-            pattern = np.asarray(frame.pcpg.assignment)
             phi = suites._pattern_phi(
-                alphabet.array, pattern, frame.symbols[None, :], ch.geometry, cfg
+                alphabet.array, frame.pcpg, frame.symbols[None, :], ch.geometry, cfg
             )[0]
             s = modulate(frame.symbols, cfg, alphabet, frame.pcpg)
             r = remove_cpp(apply_channel_time(add_cpp(s, cfg), ch, cfg, None, 0.0), cfg)
@@ -124,9 +122,9 @@ def test_phi_times_gains_equals_effective_channel():
 def test_phi_differs_across_patterns():
     frames = list(enumerate_codewords(BPSK42, AL2))
     ch = ChannelRealization(np.ones(3, dtype=complex), np.zeros(3, dtype=int), np.array([-1, 0, 1]))
-    a = closed_form_paths(BPSK42, AL2, frames[0].pcpg, ch.geometry)
-    b = closed_form_paths(BPSK42, AL2, frames[1].pcpg, ch.geometry)
-    assert frames[0].pcpg.assignment != frames[1].pcpg.assignment
+    a = closed_form_paths(BPSK42, AL2.array[frames[0].pcpg], ch.geometry)
+    b = closed_form_paths(BPSK42, AL2.array[frames[1].pcpg], ch.geometry)
+    assert not np.array_equal(frames[0].pcpg, frames[1].pcpg)
     # the zero-delay, zero-Doppler path is the identity under every pattern
     assert np.array_equal(a[1], b[1])
     for p in (0, 2):
@@ -168,7 +166,7 @@ def test_time_and_chirp_domain_metrics_agree():
         s_hyp = modulate(hyp.symbols, BPSK42, AL2, hyp.pcpg)
         time_metric = np.sum(np.abs(r - op @ s_hyp) ** 2)
         a_hyp = build_daft(BPSK42, AL2, hyp.pcpg)
-        h_eff = np.tensordot(ch.gains, closed_form_paths(BPSK42, AL2, hyp.pcpg, ch.geometry), 1)
+        h_eff = np.tensordot(ch.gains, closed_form_paths(BPSK42, AL2.array[hyp.pcpg], ch.geometry), 1)
         chirp_metric = np.sum(np.abs(a_hyp @ r - h_eff @ hyp.symbols) ** 2)
         assert time_metric == pytest.approx(chirp_metric, abs=1e-9)
 
@@ -390,6 +388,14 @@ def test_shared_row_finds_rows_within_the_tolerance_only():
     # rows equal in their weighted sums but not entry by entry are told apart
     assert _shared_row(np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)) is None
     assert _shared_row(np.ones((1, 3), dtype=complex)) is None
+
+
+@pytest.mark.parametrize("gap,shared", [(1e-7, None), (1e-10, (0, 1))])
+def test_shared_row_tolerance_lies_between_a_coarse_and_a_fine_gap(gap, shared):
+    # the tolerance itself, not a multiple of it: rows 1e-7 apart are two frames,
+    # rows 1e-10 apart are one
+    rows = np.array([[0.3 + 0.2j, -0.5j, 0.7], [0.3 + 0.2j + gap, -0.5j, 0.7]])
+    assert _shared_row(rows) == shared
 
 
 @pytest.mark.parametrize("delay, doppler", [(0, 7), (0, -2), (1, 0), (-1, 0)])

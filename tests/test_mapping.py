@@ -21,7 +21,6 @@ from afdm_pim.mapping import (
     frame_bit_count,
     group_pattern_codebook,
     index_bits_per_group,
-    index_bits_to_group_pattern,
     int_to_bits,
     load_alphabet,
     save_alphabet,
@@ -55,10 +54,15 @@ def test_frame_bit_count():
     assert frame_bit_count(cfg1) == 3
 
 
+def _group_pattern(bits, alphabet_size, group_size):
+    """The pattern that index bits select: their row of the pattern table."""
+    return tuple(group_pattern_codebook(alphabet_size, group_size)[bits_to_int(bits)].tolist())
+
+
 def test_pattern_codebook_matches_published_table():
     for row, expected in enumerate(TABLE_ROWS):
         bits = int_to_bits(row, 4)
-        assert index_bits_to_group_pattern(bits, 4, 4) == expected
+        assert _group_pattern(bits, 4, 4) == expected
 
 
 def test_pattern_table_is_read_only():
@@ -95,14 +99,14 @@ def test_bit_conversions_invert_each_other_on_arrays(width):
 
 
 def test_pattern_examples():
-    assert index_bits_to_group_pattern([0, 0, 0, 0], 4, 4) == (0, 1, 2, 3)
-    assert index_bits_to_group_pattern([1, 1, 1, 1], 4, 4) == (2, 1, 3, 0)
-    assert index_bits_to_group_pattern([0], 2, 2) == (0, 1)
+    assert _group_pattern([0, 0, 0, 0], 4, 4) == (0, 1, 2, 3)
+    assert _group_pattern([1, 1, 1, 1], 4, 4) == (2, 1, 3, 0)
+    assert _group_pattern([0], 2, 2) == (0, 1)
 
 
 def test_pattern_mapping_rejections():
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
-        index_bits_to_group_pattern([0, 0], 4, 2)
+        group_pattern_codebook(4, 2)
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
         codeword_table(SystemConfig(n_subcarriers=4, n_groups=1, alphabet_size=2))
     with pytest.raises(ValueError, match="alphabet_size == group_size"):
@@ -114,13 +118,13 @@ def test_pattern_mapping_rejections():
 def test_all_zero_payload():
     frame = bits_to_frame(np.zeros(6, dtype=int), BPSK42, AL2)
     assert np.allclose(frame.symbols, np.ones(4))
-    assert frame.pcpg.assignment == (0, 1, 0, 1)
+    assert frame.pcpg.dtype == np.int8 and frame.pcpg.tolist() == [0, 1, 0, 1]
 
 
 def test_roundtrip_exhaustive_and_distinct():
     seen = set()
     for value, frame in enumerate(enumerate_codewords(BPSK42, AL2)):
-        key = (tuple(np.round(frame.symbols.real, 9)), frame.pcpg.assignment)
+        key = (tuple(np.round(frame.symbols.real, 9)), tuple(frame.pcpg.tolist()))
         assert key not in seen
         seen.add(key)
         assert np.array_equal(frame.payload_bits, int_to_bits(value, 6))
@@ -194,7 +198,7 @@ def test_roundtrip_random_payload_qpsk(value):
     frame = bits_to_frame(int_to_bits(value, frame_bit_count(QPSK8)), QPSK8, AL4)
     symbols, assignments = codeword_rows(QPSK8, np.array([value]))
     assert np.array_equal(symbols[0], frame.symbols)
-    assert tuple(assignments[0]) == frame.pcpg.assignment
+    assert np.array_equal(assignments[0], frame.pcpg)
 
 
 def test_qpsk_codeword_rows_are_distinct():
@@ -210,7 +214,7 @@ def test_single_value_alphabet_collapses_index_bits():
     assert frame_bit_count(cfg) == 16
     alphabet = PreChirpAlphabet((0.5,))
     frame = bits_to_frame(np.zeros(16, dtype=int), cfg, alphabet)
-    assert frame.pcpg.assignment == (0,) * 8
+    assert frame.pcpg.tolist() == [0] * 8
 
 
 def test_codeword_table_arrays_are_read_only():
@@ -227,7 +231,7 @@ def test_codeword_table_matches_iterator():
     for idx, frame in enumerate(enumerate_codewords(BPSK42, AL2)):
         assert np.array_equal(payload[idx], frame.payload_bits)
         assert np.allclose(symbols[idx], frame.symbols)
-        assert tuple(assignments[idx]) == frame.pcpg.assignment
+        assert np.array_equal(assignments[idx], frame.pcpg)
     assert idx + 1 == len(payload)
 
 

@@ -196,7 +196,7 @@ def test_derived_channel_frames_and_decisions_match_their_oracles(case, seed):
     steps = 2 * n * cfg.post_chirp * delays
     if np.all(np.abs(steps - np.round(steps)) <= 1e-9):
         a_mat = build_daft(cfg, alphabet, frame.pcpg)
-        closed = closed_form_paths(cfg, alphabet, frame.pcpg, geometry)
+        closed = closed_form_paths(cfg, alphabet.array[frame.pcpg], geometry)
         for (d, a), want in zip(geometry, closed):
             got = a_mat @ path_time_operator(cfg, d, a) @ a_mat.conj().T
             assert np.max(np.abs(got - want)) < 1e-9, (cfg, geometry)

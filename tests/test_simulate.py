@@ -18,7 +18,6 @@ from afdm_pim.detection import MLDetector, codeword_time_signals, count_bit_erro
 from afdm_pim.mapping import (
     EnumerationCapExceeded,
     PreChirpAlphabet,
-    PreChirpPatternGroup,
     frame_bit_count,
 )
 from afdm_pim.simulate import (
@@ -231,7 +230,7 @@ def test_batch_channel_matches_time_domain_operator():
             cpp_length=d_max,
         )
         alphabet = PreChirpAlphabet(simulate.TABLE_ALPHABETS[lam])
-        pcpg = PreChirpPatternGroup(tuple(rng.integers(0, lam, n)), n // g)
+        pcpg = rng.integers(0, lam, n)
         a = build_daft(cfg, alphabet, pcpg)
         frames = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         gains = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -241,7 +240,7 @@ def test_batch_channel_matches_time_domain_operator():
         batch = apply_channel_batch(add_cpp(frames, cfg), gains, delays, dopplers, cfg)
         for f in range(6):
             ch = ChannelRealization(gains[f], delays[f], dopplers[f])
-            h_eff = np.tensordot(gains[f], closed_form_paths(cfg, alphabet, pcpg, ch.geometry), 1)
+            h_eff = np.tensordot(gains[f], closed_form_paths(cfg, alphabet.array[pcpg], ch.geometry), 1)
             expected = a.conj().T @ h_eff @ a @ frames[f]
             assert np.max(np.abs(batch[f, cfg.cpp_length :] - expected)) < 1e-12
             assert np.max(np.abs(time_domain_operator(ch, cfg) @ frames[f] - expected)) < 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from afdm_pim.config import RandomSource, SystemConfig
-from afdm_pim.mapping import PreChirpAlphabet, PreChirpPatternGroup, bits_to_frame, frame_bit_count
+from afdm_pim.mapping import PreChirpAlphabet, bits_to_frame, frame_bit_count
 from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
 AL4 = PreChirpAlphabet((0.01, 0.20, 0.41, 0.80))
@@ -31,7 +31,7 @@ def test_daft_unitary_over_random_patterns():
 
 def test_daft_degenerate_single_subcarrier():
     cfg = SystemConfig(n_subcarriers=1, n_groups=1, alphabet_size=1)
-    pcpg = PreChirpPatternGroup(assignment=(0,), group_size=1)
+    pcpg = np.zeros(1, dtype=np.int8)
     a = build_daft(cfg, PreChirpAlphabet((0.5,)), pcpg)
     assert a.shape == (1, 1)
     # e^{-j2pi c2 * 0} * e^{-j2pi c1 * 0} / sqrt(1) = 1
@@ -41,10 +41,10 @@ def test_daft_degenerate_single_subcarrier():
 def test_daft_matches_elementwise_definition():
     cfg = _cfg(n=4, g=2, lam=2, a_max=1, d_max=0)
     al = PreChirpAlphabet((0.20, 0.60))
-    pcpg = PreChirpPatternGroup(assignment=(0, 1, 1, 0), group_size=2)
+    pcpg = np.array([0, 1, 1, 0], dtype=np.int8)
     a = build_daft(cfg, al, pcpg)
     n = 4
-    c2 = al.array[list(pcpg.assignment)]
+    c2 = al.array[pcpg]
     expected = np.empty((n, n), dtype=complex)
     for m in range(n):
         for k in range(n):
@@ -62,7 +62,7 @@ def test_modulate_impulse_gives_post_chirp_carrier():
     x[0] = 1.0
     s = modulate(x, cfg, AL4, frame.pcpg)
     n = np.arange(8)
-    c2_0 = AL4.array[frame.pcpg.assignment[0]]
+    c2_0 = AL4.array[frame.pcpg[0]]
     expected = np.exp(2j * np.pi * (cfg.post_chirp * n**2 + c2_0 * 0)) / np.sqrt(8)
     assert np.allclose(s, expected, atol=1e-12)
 
@@ -73,7 +73,7 @@ def test_modulate_matches_explicit_double_sum():
     frame = _random_frame(cfg, AL4, rng)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     s = modulate(x, cfg, AL4, frame.pcpg)
-    c2 = AL4.array[list(frame.pcpg.assignment)]
+    c2 = AL4.array[frame.pcpg]
     explicit = np.zeros(8, dtype=complex)
     for n in range(8):
         for m in range(8):
@@ -113,7 +113,7 @@ def test_wrong_pattern_hypothesis_disturbs_recovery():
     rng = RandomSource(5).generator()
     frame = _random_frame(cfg, AL4, rng)
     other = _random_frame(cfg, AL4, rng)
-    assert frame.pcpg.assignment != other.pcpg.assignment
+    assert not np.array_equal(frame.pcpg, other.pcpg)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     s = modulate(x, cfg, AL4, frame.pcpg)
     y = build_daft(cfg, AL4, other.pcpg) @ s
