@@ -16,9 +16,9 @@ from .mapping import (
     EnumerationCapExceeded,
     PreChirpAlphabet,
     codeword_count,
-    codeword_table,
     frame_bit_count,
     index_bits_per_group,
+    int_to_bits,
 )
 
 RANK_TOLERANCE = 1e-9
@@ -28,8 +28,6 @@ MAX_PAIR_TERMS = 2**30
 
 # (support cells, multiplicities, probability) of each reachable path multiset
 GeometryLaw = list[tuple[tuple[tuple[int, int], ...], tuple[int, ...], float]]
-
-_PAIR_CHUNK = 8192
 
 
 def _masked_eigs(psi: np.ndarray) -> np.ndarray:
@@ -73,23 +71,6 @@ def upep(pair: PairwiseDifference, p_paths: int, n0: float) -> float:
     return float(t1 / 12.0 + t2 / 4.0)
 
 
-def _pair_chunks(count: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Unordered index pairs (i < j) over range(count), yielded in chunks."""
-    buf_i: list[np.ndarray] = []
-    buf_j: list[np.ndarray] = []
-    size = 0
-    for i in range(count - 1):
-        js = np.arange(i + 1, count)
-        buf_i.append(np.full(js.size, i))
-        buf_j.append(js)
-        size += js.size
-        if size >= chunk:
-            yield np.concatenate(buf_i), np.concatenate(buf_j)
-            buf_i, buf_j, size = [], [], 0
-    if size:
-        yield np.concatenate(buf_i), np.concatenate(buf_j)
-
-
 def _check_scan_size(cfg: SystemConfig, supports: int, escape: str = "") -> None:
     """Refuse (`EnumerationCapExceeded`) a scan of every codeword pair on each of
     `supports` supports above `MAX_PAIR_TERMS` terms; `MAX_CODEWORDS` goes first."""
@@ -107,17 +88,17 @@ def _pair_spectra(
     alphabet: PreChirpAlphabet,
     support: Geometry,
     scale: float | np.ndarray = 1.0,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Masked Gram eigenvalues of every unordered codeword pair on one support.
 
-    Yields (idx_i, idx_j, eigs) per `_pair_chunks` chunk, eigs (pairs, |support|)
-    being the spectrum of (phi[j] - phi[i]) * scale; scale weights the columns.
+    Yields (i, eigs) per codeword row i, eigs (C - 1 - i, |support|) being the
+    spectra of (phi[j] - phi[i]) * scale for j > i; scale weights the columns.
     """
-    phi = path_image_tensor(cfg, alphabet, support)
-    for idx_i, idx_j in _pair_chunks(phi.shape[0], _PAIR_CHUNK):
-        diff = (phi[idx_j] - phi[idx_i]) * scale
+    phi = path_image_tensor(cfg, alphabet, support) * scale
+    for i in range(len(phi) - 1):
+        diff = phi[i + 1 :] - phi[i]
         psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
-        yield idx_i, idx_j, _masked_eigs(psi)
+        yield i, _masked_eigs(psi)
 
 
 # --- bound matched to the sampled channel law ------------------------------
@@ -198,14 +179,14 @@ def abep_curve_jakes(
     n0 = np.asarray(n0_values, dtype=float)
     if np.any(n0 <= 0):
         raise ValueError("noise variances must be positive")
-    payload = codeword_table(cfg)
     b_total = frame_bit_count(cfg)
     acc = np.zeros(n0.shape, dtype=float)
     for support, mult, weight in bound_supports(cfg, p_paths):
         scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
         pair_sum = np.zeros(n0.shape, dtype=float)
-        for idx_i, idx_j, eigs in _pair_spectra(cfg, alphabet, support, scale):
-            tau = np.count_nonzero(payload[idx_i] != payload[idx_j], axis=1)
+        for i, eigs in _pair_spectra(cfg, alphabet, support, scale):
+            # bit distance of pair (i, j): the set bits of i ^ j
+            tau = np.count_nonzero(int_to_bits(np.arange(i + 1, 2**b_total) ^ i, b_total), axis=1)
             ratio = eigs[None, :, :] / n0[:, None, None]
             t1 = np.prod(1.0 / (1.0 + ratio / 4.0), axis=2)
             t2 = np.prod(1.0 / (1.0 + ratio / 3.0), axis=2)
@@ -231,7 +212,7 @@ def diversity_order(cfg: SystemConfig, alphabet: PreChirpAlphabet, p_paths: int)
     _check_scan_size(cfg, math.comb(len(cells), size))
     best = size  # no support's rank exceeds its size
     for support in combinations(cells, size):
-        for _, _, eigs in _pair_spectra(cfg, alphabet, support):
+        for _, eigs in _pair_spectra(cfg, alphabet, support):
             best = min(best, int(np.count_nonzero(eigs, axis=1).min()))
             if best == 0:
                 return 0

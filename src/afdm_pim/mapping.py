@@ -50,7 +50,13 @@ class PreChirpAlphabet:
 def load_alphabet(path: str) -> PreChirpAlphabet:
     """Read an alphabet file: one decimal value per line."""
     with open(path, "r", encoding="utf-8") as fh:
-        values = [float(line) for line in fh if line.strip()]
+        lines = [(n, text) for n, text in enumerate(map(str.strip, fh), start=1) if text]
+    values = []
+    for lineno, text in lines:
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: cannot read {text!r} as float") from None
     return PreChirpAlphabet(tuple(values))
 
 
@@ -202,13 +208,6 @@ def codeword_table(cfg: SystemConfig, /) -> np.ndarray:
     count = codeword_count(cfg)
     # rejects an unsupported pattern mapping before any row is built
     group_pattern_codebook(cfg.alphabet_size, cfg.group_size)
-    b_total = frame_bit_count(cfg)
-    # codeword c = i * 2^(B - b_h) + j: the b_h bits of i, then the bits of j
-    b_head = b_total // 2
-    n_head = 2**b_head
-    payload = np.empty((count, b_total), dtype=np.int8)
-    pairs = payload.reshape(n_head, count // n_head, b_total)
-    pairs[:, :, :b_head] = int_to_bits(np.arange(n_head), b_head)[:, None]
-    pairs[:, :, b_head:] = int_to_bits(np.arange(count // n_head), b_total - b_head)[None]
+    payload = int_to_bits(np.arange(count), frame_bit_count(cfg))
     payload.flags.writeable = False  # shared by every caller of the cache
     return payload

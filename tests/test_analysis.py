@@ -27,7 +27,7 @@ BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=
 def _support_rank(cfg, alphabet, support):
     """Minimum rank over every codeword pair on one support, read from the pair scan."""
     spectra = analysis._pair_spectra(cfg, alphabet, support)
-    return min(int(np.count_nonzero(eigs, axis=1).min()) for _, _, eigs in spectra)
+    return min(int(np.count_nonzero(eigs, axis=1).min()) for _, eigs in spectra)
 
 
 def _random_pair(rng, n=6, p=3):
@@ -97,6 +97,24 @@ def test_upep_high_snr_slope_is_rank():
     vals = [upep(pair, 3, n0) for n0 in n0s]
     slope = (math.log10(vals[0]) - math.log10(vals[1])) / 1.0
     assert slope == pytest.approx(pair.rank, abs=0.05)
+
+
+def test_pair_scan_yields_every_pair_once_with_its_own_spectrum():
+    # fig8_lo's 64 codewords, 2016 pairs, with two of its three paths in one cell
+    from afdm_pim.detection import path_image_tensor
+
+    fig8 = make_preset("fig8_lo")
+    support = delay_doppler_cells(fig8.cfg)[:2]
+    scale = np.sqrt(np.array([2.0, 1.0]) / 3)
+    phi = path_image_tensor(fig8.cfg, fig8.alphabet, support) * scale
+    rows = list(analysis._pair_spectra(fig8.cfg, fig8.alphabet, support, scale))
+    assert [i for i, _ in rows] == list(range(len(phi) - 1))
+    for i, eigs in rows:
+        assert eigs.shape == (len(phi) - 1 - i, len(support))
+        for j, got in enumerate(eigs, start=i + 1):
+            want = pairwise_difference(phi[i], phi[j]).eigenvalues
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * want[-1])
+    assert sum(len(eigs) for _, eigs in rows) == 2016
 
 
 def test_abep_monotone_and_clipped():

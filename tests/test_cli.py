@@ -323,6 +323,19 @@ def test_alphabet_file_is_read_from_the_config_directory(
     assert main(["optimize", str(relative), "--pso-params", "particles=4,iterations=1"]) == 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize", "analyze"])
+def test_alphabet_file_value_that_is_not_a_number_names_its_line(command, tmp_path, capsys):
+    # it used to exit 2 with "could not convert string to float: 'abc\n'"
+    alphabet = tmp_path / "alpha.txt"
+    alphabet.write_text("0.2\nabc\n0.6\n")
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG_TEXT.replace("values = 0.2 0.6", f"file = {alphabet}"))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {alphabet}, line 2: cannot read 'abc' as float\n"
+    assert not out.exists()
+
+
 def test_validate_suites(capsys):
     assert main(["validate", "--suite", "all"]) == 0
     out = capsys.readouterr().out
