@@ -181,12 +181,14 @@ def abep_curve_jakes(
         raise ValueError("noise variances must be positive")
     b_total = frame_bit_count(cfg)
     acc = np.zeros(n0.shape, dtype=float)
-    for support, mult, weight in bound_supports(cfg, p_paths):
+    supports = bound_supports(cfg, p_paths)  # refuses an oversized codebook first
+    # bit distance of pair (i, j): the set bits of i ^ j
+    ones = np.count_nonzero(int_to_bits(np.arange(2**b_total), b_total), axis=1)
+    for support, mult, weight in supports:
         scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
         pair_sum = np.zeros(n0.shape, dtype=float)
         for i, eigs in _pair_spectra(cfg, alphabet, support, scale):
-            # bit distance of pair (i, j): the set bits of i ^ j
-            tau = np.count_nonzero(int_to_bits(np.arange(i + 1, 2**b_total) ^ i, b_total), axis=1)
+            tau = ones[np.arange(i + 1, len(ones)) ^ i]
             ratio = eigs[None, :, :] / n0[:, None, None]
             t1 = np.prod(1.0 / (1.0 + ratio / 4.0), axis=2)
             t2 = np.prod(1.0 / (1.0 + ratio / 3.0), axis=2)

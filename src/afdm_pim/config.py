@@ -46,8 +46,13 @@ class SystemConfig:
             raise ValueError("n_subcarriers and n_groups must be positive")
         if n % g != 0:
             raise ValueError(f"n_groups={g} does not divide n_subcarriers={n}")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
+        # the codebook's one pattern table: each of a group's subcarriers has its
+        # own pre-chirp, or every subcarrier has the one pre-chirp
+        if self.alphabet_size not in (1, n // g):
+            raise ValueError(
+                "pattern mapping requires alphabet_size == group_size (or 1), "
+                f"got alphabet_size={self.alphabet_size}, group_size={n // g}"
+            )
         m = self.constellation_order
         if m < 2 or (m & (m - 1)) != 0:
             raise ValueError(f"constellation_order={m} is not a power of two >= 2")

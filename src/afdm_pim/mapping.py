@@ -78,16 +78,9 @@ class Frame:
 
 
 def index_bits_per_group(alphabet_size: int, group_size: int) -> int:
-    """Index bits b2 carried by one group's pre-chirp pattern."""
-    lam, n_c = alphabet_size, group_size
-    if lam < 1 or n_c < 1:
-        raise ValueError("alphabet_size and group_size must be >= 1")
-    c = math.comb(max(lam, n_c), min(lam, n_c))
-    if lam >= n_c:
-        return math.floor(math.log2(c * math.factorial(n_c)))
-    if n_c % lam == 0:
-        return math.floor(math.log2(math.factorial(lam))) * (n_c // lam)
-    return math.floor(math.log2(c * math.factorial(lam) * lam ** (n_c - lam)))
+    """Index bits b2 carried by one group's pre-chirp pattern: floor(log2(N_c!))
+    for the permutations of lambda = N_c values, none for lambda = 1."""
+    return math.floor(math.log2(math.factorial(group_size))) if alphabet_size > 1 else 0
 
 
 def frame_bit_count(cfg: SystemConfig) -> int:
@@ -117,8 +110,11 @@ def bits_to_int(bits) -> np.ndarray:
 
 def int_to_bits(values, width: int) -> np.ndarray:
     """The width-bit binary forms of values (...), MSB first: int8 rows (..., width)."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((np.asarray(values, dtype=np.int64)[..., None] >> shifts) & 1).astype(np.int8)
+    # each value's 8 big-endian bytes, of which the last ceil(width / 8) hold its bits
+    n_bytes = -(-width // 8)
+    octets = np.asarray(values, dtype=">u8")[..., None].view(np.uint8)[..., 8 - n_bytes :]
+    bits = np.unpackbits(octets, axis=-1)[..., 8 * n_bytes - width :]
+    return np.ascontiguousarray(bits).view(np.int8)
 
 
 @lru_cache(maxsize=8)
@@ -127,15 +123,11 @@ def group_pattern_codebook(alphabet_size: int, group_size: int) -> np.ndarray:
     of index word w (cached, read-only).
 
     The rows are the lexicographically first permutations of the sorted
-    assignment, in which each alphabet index fills N_c / lambda subcarriers.
-    Only lambda == N_c (the permutations of 0, ..., N_c - 1) and lambda = 1
-    (b2 = 0: the one all-zero row) are supported.
+    assignment, in which each alphabet index fills N_c / lambda subcarriers:
+    for lambda == N_c the permutations of 0, ..., N_c - 1, for lambda = 1
+    (b2 = 0) the one all-zero row, the two that `SystemConfig` admits.
     """
     lam, n_c = alphabet_size, group_size
-    if lam not in (1, n_c):
-        raise ValueError(
-            f"pattern mapping requires alphabet_size == group_size, got {lam} != {n_c}"
-        )
     ranks = range(2 ** index_bits_per_group(lam, n_c))
     sorted_assignment = np.arange(n_c) // (n_c // lam)
     table = np.array(
@@ -206,8 +198,6 @@ def codeword_table(cfg: SystemConfig, /) -> np.ndarray:
     """The codebook's payloads (C, B) int8 in payload order, row c the B-bit form
     of c (cached, read-only); `codeword_rows` derives any rows' symbols and patterns."""
     count = codeword_count(cfg)
-    # rejects an unsupported pattern mapping before any row is built
-    group_pattern_codebook(cfg.alphabet_size, cfg.group_size)
     payload = int_to_bits(np.arange(count), frame_bit_count(cfg))
     payload.flags.writeable = False  # shared by every caller of the cache
     return payload

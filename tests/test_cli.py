@@ -505,6 +505,21 @@ def test_optimize_with_one_pre_chirp_value_has_nothing_to_design(tmp_path, capsy
         )
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["analyze"], ["analyze", "--se"], ["optimize"]])
+def test_alphabet_size_the_codebook_cannot_build_exits_2_naming_the_rule(
+    command, tmp_path, capsys
+):
+    # lambda = 2 on one group of 16 subcarriers: no pattern table maps it
+    path = tmp_path / "lambda2.cfg"
+    path.write_text("[system]\nn_subcarriers = 16\nn_groups = 1\nalphabet_size = 2\n")
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: pattern mapping requires alphabet_size == group_size (or 1), "
+        "got alphabet_size=2, group_size=16\n",
+    )
+
+
 def test_unknown_pso_parameter_exits_2_naming_it(config_path, tmp_path, capsys):
     out = tmp_path / "alpha.txt"
     args = ["optimize", config_path, "--pso-params", "particles=4,swarm=9", "--out", str(out)]

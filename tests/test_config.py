@@ -31,6 +31,16 @@ def test_post_chirp_defaults_and_override():
     assert over.post_chirp == 0.1
 
 
+@pytest.mark.parametrize("alphabet_size", [0, 2, 3, 5])
+def test_alphabet_size_other_than_one_or_the_group_size_is_refused(alphabet_size):
+    with pytest.raises(
+        ValueError,
+        match=rf"pattern mapping requires alphabet_size == group_size \(or 1\), "
+        rf"got alphabet_size={alphabet_size}, group_size=4",
+    ):
+        SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=alphabet_size)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="does not divide"):
         SystemConfig(n_subcarriers=8, n_groups=3, alphabet_size=2)
