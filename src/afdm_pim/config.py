@@ -1,4 +1,4 @@
-"""Validated system configuration, constellations, and seeded random streams."""
+"""Validated system configuration, constellation points, and seeded random streams."""
 
 from __future__ import annotations
 
@@ -101,53 +101,33 @@ def _gray(k: int) -> int:
     return k ^ (k >> 1)
 
 
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """Unit-average-energy constellation with Gray bit labeling.
-
-    ``points[label]`` is the complex point whose Gray label equals ``label``.
-    """
-
-    kind: str
-    order: int
-    points: np.ndarray
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.order.bit_length() - 1
-
-
 @lru_cache(maxsize=None)
-def make_constellation(kind: str, order: int) -> Constellation:
-    """Build an M-PSK or square M-QAM constellation normalized to unit average energy."""
-    kind = kind.upper()
-    m = order
-    if m < 2 or (m & (m - 1)) != 0:
-        raise ValueError(f"order {m} is not a power of two >= 2")
-    points = np.zeros(m, dtype=complex)
+def _constellation(kind: str, order: int) -> np.ndarray:
+    """The (M,) points of M-PSK or square M-QAM at unit average energy (cached,
+    read-only); points[label] is the point whose Gray label is label. kind and
+    order come validated from a `SystemConfig`."""
+    points = np.zeros(order, dtype=complex)
     if kind == "PSK":
-        for k in range(m):
-            points[_gray(k)] = np.exp(2j * np.pi * k / m)
-    elif kind == "QAM":
-        side = math.isqrt(m)
-        if side * side != m:
-            raise ValueError(f"QAM order {m} is not a perfect square")
+        for k in range(order):
+            points[_gray(k)] = np.exp(2j * np.pi * k / order)
+    else:
+        side = math.isqrt(order)
         half = side.bit_length() - 1
-        scale = math.sqrt(2.0 * (m - 1) / 3.0)
+        scale = math.sqrt(2.0 * (order - 1) / 3.0)
         for i in range(side):
             for q in range(side):
                 label = (_gray(i) << half) | _gray(q)
                 points[label] = complex(2 * i - side + 1, 2 * q - side + 1) / scale
-    else:
-        raise ValueError(f"unknown constellation kind {kind!r}")
     energy = np.mean(np.abs(points) ** 2)
     if abs(energy - 1.0) > 1e-12:
         raise AssertionError(f"constellation energy {energy} != 1")
-    return Constellation(kind=kind, order=m, points=points)
+    points.flags.writeable = False  # shared by every caller of the cache
+    return points
 
 
-def constellation_for(cfg: SystemConfig) -> Constellation:
-    return make_constellation(cfg.constellation_kind, cfg.constellation_order)
+def constellation_for(cfg: SystemConfig) -> np.ndarray:
+    """The config's Gray-labelled unit-energy constellation points (M,) (cached, read-only)."""
+    return _constellation(cfg.constellation_kind, cfg.constellation_order)
 
 
 @dataclass(frozen=True)

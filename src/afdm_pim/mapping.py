@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, permutations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -90,17 +91,6 @@ def frame_bit_count(cfg: SystemConfig) -> int:
     return cfg.n_groups * (b1 + b2)
 
 
-def _perm_unrank(rank: int, n: int) -> tuple[int, ...]:
-    """The rank-th permutation of (0, ..., n-1) in lexicographic order."""
-    pool = list(range(n))
-    out = []
-    for i in range(n, 0, -1):
-        f = math.factorial(i - 1)
-        idx, rank = divmod(rank, f)
-        out.append(pool.pop(idx))
-    return tuple(out)
-
-
 def bits_to_int(bits) -> np.ndarray:
     """The unsigned integers whose MSB-first binary forms are the rows of bits
     (..., w): shape (...), one numpy integer for one row, zeros for w = 0."""
@@ -125,14 +115,17 @@ def group_pattern_codebook(alphabet_size: int, group_size: int) -> np.ndarray:
     The rows are the lexicographically first permutations of the sorted
     assignment, in which each alphabet index fills N_c / lambda subcarriers:
     for lambda == N_c the permutations of 0, ..., N_c - 1, for lambda = 1
-    (b2 = 0) the one all-zero row, the two that `SystemConfig` admits.
+    (b2 = 0) the one all-zero row, the two that `SystemConfig` admits. More
+    than `MAX_CODEWORDS` rows raise `EnumerationCapExceeded` before any is built.
     """
     lam, n_c = alphabet_size, group_size
-    ranks = range(2 ** index_bits_per_group(lam, n_c))
-    sorted_assignment = np.arange(n_c) // (n_c // lam)
-    table = np.array(
-        [sorted_assignment[list(_perm_unrank(r, n_c))] for r in ranks], dtype=np.int8
-    )
+    b2 = index_bits_per_group(lam, n_c)
+    if 2**b2 > MAX_CODEWORDS:
+        raise EnumerationCapExceeded(
+            f"2^{b2} pre-chirp patterns per group exceed the enumeration limit {MAX_CODEWORDS}"
+        )
+    sorted_assignment = [m // (n_c // lam) for m in range(n_c)]
+    table = np.array(list(islice(permutations(sorted_assignment), 2**b2)), dtype=np.int8)
     table.flags.writeable = False  # shared by every caller of the cache
     return table
 
@@ -147,7 +140,7 @@ def bits_to_frame(
     b_total = frame_bit_count(cfg)
     if payload.shape != (b_total,):
         raise ValueError(f"payload must have exactly {b_total} bits, got {payload.shape}")
-    const = constellation_for(cfg)
+    points = constellation_for(cfg)
     n_c, k = cfg.group_size, cfg.bits_per_symbol
     b1 = n_c * k
     b2 = index_bits_per_group(cfg.alphabet_size, n_c)
@@ -157,7 +150,7 @@ def bits_to_frame(
     for g in range(cfg.n_groups):
         chunk = payload[g * (b1 + b2) : (g + 1) * (b1 + b2)]
         group = slice(g * n_c, (g + 1) * n_c)
-        symbols[group] = const.points[bits_to_int(chunk[:b1].reshape(n_c, k))]
+        symbols[group] = points[bits_to_int(chunk[:b1].reshape(n_c, k))]
         pcpg[group] = codebook[bits_to_int(chunk[b1:])]
     return Frame(payload_bits=payload, symbols=symbols, pcpg=pcpg)
 
@@ -189,7 +182,7 @@ def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np
     per_group = int_to_bits(values, frame_bit_count(cfg)).reshape(rows, cfg.n_groups, b1 + b2)
     labels = bits_to_int(per_group[:, :, :b1].reshape(rows, cfg.n_groups, n_c, k))
     words = bits_to_int(per_group[:, :, b1:])
-    symbols = constellation_for(cfg).points[labels].reshape(rows, n)
+    symbols = constellation_for(cfg)[labels].reshape(rows, n)
     return symbols, group_pattern_codebook(cfg.alphabet_size, n_c)[words].reshape(rows, n)
 
 

@@ -189,7 +189,7 @@ def _collision_terms(group_patterns, cfg: SystemConfig) -> tuple:
 
 
 def _symbol_pairs(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    points = constellation_for(cfg).points
+    points = constellation_for(cfg)
     energy = np.abs(points[:, None]) ** 2 + np.abs(points[None, :]) ** 2
     corr = points[:, None] * points[None, :].conj()
     key = np.round(np.stack([energy.ravel(), corr.real.ravel(), corr.imag.ravel()], 1), 12)

@@ -135,7 +135,7 @@ def _all_symbol_vectors(cfg: SystemConfig) -> np.ndarray:
     N log2(M) bits of x."""
     n, k = cfg.n_subcarriers, cfg.bits_per_symbol
     bits = int_to_bits(np.arange(2 ** (n * k)), n * k).reshape(-1, n, k)
-    return constellation_for(cfg).points[bits_to_int(bits)]
+    return constellation_for(cfg)[bits_to_int(bits)]
 
 
 def _pattern_phi(

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from afdm_pim import cli, simulate
 from afdm_pim.cli import main
 from afdm_pim.detection import MLDetector
 from afdm_pim.config import SECTION_KEYS, RandomSource, read_config_file, read_section
-from afdm_pim.mapping import load_alphabet
+from afdm_pim.mapping import frame_bit_count, load_alphabet
 from afdm_pim.optimizer import PsoParams, build_objective_context, pso_optimize
 from afdm_pim.simulate import scenario_from_sections
 
@@ -542,6 +543,28 @@ def test_non_integer_sim_seed_exits_2_naming_it(
     assert not out.exists()
     # the flag comes first, so SIM_SEED is not read
     assert cli._load_scenario(source, 3).seed == 3
+
+
+@pytest.mark.parametrize(
+    "stem,changes",
+    [
+        ("fig7_pim_short", {}),
+        ("fig7_classical_afdm", {"n_groups": 1, "alphabet_size": 1, "constellation_order": 4}),
+    ],
+)
+def test_like_for_like_examples_run_the_fig7_channel(stem, changes):
+    # the README's like-for-like comparison: fig7_pim's channel and bits per
+    # frame, with PIM or with classical AFDM, on the same SNR points
+    path = Path(__file__).resolve().parents[1] / "examples" / f"{stem}.cfg"
+    scenario = scenario_from_sections(read_config_file(str(path)), name=stem)
+    fig7 = simulate.PRESETS["fig7_pim"]
+    assert scenario.cfg == replace(fig7.cfg, **changes)
+    assert frame_bit_count(scenario.cfg) == frame_bit_count(fig7.cfg) == 16
+    assert scenario == replace(
+        fig7, name=stem, cfg=scenario.cfg, alphabet=scenario.alphabet, snr_grid_db=(15, 20, 25)
+    )
+    if not changes:
+        assert scenario.alphabet == fig7.alphabet
 
 
 def test_readme_config_example_is_read(tmp_path):

@@ -2,14 +2,27 @@ import numpy as np
 import pytest
 
 from afdm_pim.config import (
-    Constellation,
     RandomSource,
     SystemConfig,
     constellation_for,
     default_c1,
-    make_constellation,
     system_config_from_items,
 )
+
+
+def _single_subcarrier(kind, order):
+    return SystemConfig(
+        n_subcarriers=1,
+        n_groups=1,
+        alphabet_size=1,
+        constellation_kind=kind,
+        constellation_order=order,
+    )
+
+
+def _points(kind, order):
+    """The constellation points of a config with this kind and order."""
+    return constellation_for(_single_subcarrier(kind, order))
 
 
 def test_default_c1_values():
@@ -90,25 +103,26 @@ def test_default_c1_times_delay_is_integral():
     [("PSK", 2), ("PSK", 4), ("PSK", 8), ("PSK", 16), ("QAM", 4), ("QAM", 16), ("QAM", 64)],
 )
 def test_constellation_energy_normalized(kind, order):
-    const = make_constellation(kind, order)
-    assert np.mean(np.abs(const.points) ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert const.bits_per_symbol == int(np.log2(order))
+    points = _points(kind, order)
+    assert points.shape == (order,) and points.dtype == complex
+    assert np.mean(np.abs(points) ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert _single_subcarrier(kind, order).bits_per_symbol == int(np.log2(order))
 
 
 def test_psk_on_unit_circle_with_gray_labels():
-    const = make_constellation("PSK", 8)
-    assert np.allclose(np.abs(const.points), 1.0)
+    points = _points("PSK", 8)
+    assert np.allclose(np.abs(points), 1.0)
     # Gray labeling: angular neighbors differ in exactly one bit
-    order = np.argsort(np.angle(const.points) % (2 * np.pi))
+    order = np.argsort(np.angle(points) % (2 * np.pi))
     labels = np.arange(8)[order]
     for a, b in zip(labels, np.roll(labels, -1)):
         assert bin(int(a) ^ int(b)).count("1") == 1
 
 
 def test_bpsk_points():
-    const = make_constellation("PSK", 2)
-    assert const.points[0] == pytest.approx(1.0)
-    assert const.points[1] == pytest.approx(-1.0)
+    points = _points("PSK", 2)
+    assert points[0] == pytest.approx(1.0)
+    assert points[1] == pytest.approx(-1.0)
 
 
 def test_random_source_reproducible_and_streams_independent():

@@ -12,7 +12,7 @@ from afdm_pim.channel import (
     sample_channel,
     time_domain_operator,
 )
-from afdm_pim.config import RandomSource, SystemConfig
+from afdm_pim.config import RandomSource, SystemConfig, constellation_for
 from afdm_pim.detection import (
     INJECTIVE_TOL,
     MLDetector,
@@ -28,6 +28,7 @@ from afdm_pim.mapping import (
     codeword_table,
     enumerate_codewords,
     frame_bit_count,
+    group_pattern_codebook,
     int_to_bits,
 )
 from afdm_pim.simulate import PRESETS, make_preset, noise_variance_from_snr_db
@@ -324,6 +325,28 @@ def test_codeword_time_signals_are_read_only():
         tables.cell_index[(0, 0)] = 1
 
 
+@pytest.mark.parametrize("cfg,alphabet", [(BPSK42, AL2), (BASELINE4, PreChirpAlphabet((0.5,)))])
+def test_every_shared_table_is_read_only(cfg, alphabet):
+    # each of these is cached and handed to every caller: a write would change
+    # every later frame, decision and bound of the process
+    tables = factor_tables(cfg, alphabet)
+    shared = {
+        "constellation points": constellation_for(cfg),
+        "pattern table": group_pattern_codebook(cfg.alphabet_size, cfg.group_size),
+        "payload bits": codeword_table(cfg),
+        "frames": codeword_time_signals(cfg, alphabet),
+        "head": tables.head,
+        "tail": tables.tail,
+        "head forms": tables.head_forms,
+        "tail forms": tables.tail_forms,
+        "cells": tables.cells,
+    }
+    for name, array in shared.items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 5
+
+
 def test_cached_tables_are_shared_whatever_the_call_form():
     # every detector shares the cached arrays instead of building its own; the
     # cached functions take positional arguments only, since a keyword call
@@ -374,6 +397,30 @@ def test_preset_codebooks_clear_the_guard_by_far(name):
         if len(rows) > 1:
             gaps = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
             assert gaps[np.triu_indices(len(rows), 1)].min() >= 0.25 - 1e-12
+
+
+# the smallest nonzero ||x_i - x_i'||^2 over two head rows and over two tail
+# rows: every path is unitary, so it is the Gram diagonal of the closest index
+# error events. QPSK keeps the classical 2; each PIM preset's closest rows are
+# 5-20x nearer than that.
+SMALLEST_ROW_GAPS = {
+    "fig7_pim": (0.1444, 0.2033),
+    "fig4": (0.8656, 0.0983),
+    "fig8_lo": (0.3820, 0.7639),
+    "fig8_hi": (0.3820, 0.7639),
+    "baseline_afdm": (2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALLEST_ROW_GAPS))
+def test_smallest_squared_distance_between_factor_rows(name):
+    scenario = PRESETS[name]
+    tables = factor_tables(scenario.cfg, scenario.alphabet)
+    smallest = []
+    for rows in (tables.head[:, :-1], tables.tail):
+        d2 = np.sum(np.abs(rows[:, None, :] - rows[None, :, :]) ** 2, axis=2)
+        smallest.append(d2[np.triu_indices(len(rows), 1)].min())
+    assert smallest == pytest.approx(SMALLEST_ROW_GAPS[name], abs=5e-5)
 
 
 def test_shared_row_finds_rows_within_the_tolerance_only():

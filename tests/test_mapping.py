@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afdm_pim import analysis, detection, optimizer, simulate, suites
+from afdm_pim import analysis, detection, mapping, optimizer, simulate, suites
 from afdm_pim.config import SystemConfig
 from afdm_pim.mapping import (
     MAX_CODEWORDS,
     EnumerationCapExceeded,
     PreChirpAlphabet,
-    _perm_unrank,
     bits_to_frame,
     bits_to_int,
     codeword_count,
@@ -78,13 +78,40 @@ def test_single_value_pattern_table_is_one_zero_row(n_c):
     assert np.array_equal(group_pattern_codebook(1, n_c), np.zeros((1, n_c), dtype=np.int8))
 
 
-@pytest.mark.parametrize("n_c", [1, 2, 3, 4, 5])
+def _perm_unrank(rank, n):
+    """The rank-th permutation of (0, ..., n-1) in lexicographic order, read off
+    the factorial number system one digit at a time."""
+    pool = list(range(n))
+    out = []
+    for i in range(n, 0, -1):
+        idx, rank = divmod(rank, math.factorial(i - 1))
+        out.append(pool.pop(idx))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n_c", [1, 2, 3, 4, 5, 8])
 def test_pattern_table_rows_are_the_first_permutations_in_order(n_c):
     table = group_pattern_codebook(n_c, n_c)
     assert len(table) == 2 ** index_bits_per_group(n_c, n_c)
     assert [tuple(row) for row in table.tolist()] == [
         _perm_unrank(r, n_c) for r in range(len(table))
     ]
+
+
+@pytest.mark.parametrize("n_c,b2", [(12, 28), (16, 44)])
+def test_pattern_table_beyond_the_limit_is_refused_before_any_row(monkeypatch, n_c, b2):
+    def no_rows(*args):
+        raise AssertionError("a pattern row was built")
+
+    monkeypatch.setattr(mapping, "permutations", no_rows)
+    message = rf"2\^{b2} pre-chirp patterns per group exceed the enumeration limit {MAX_CODEWORDS}"
+    with pytest.raises(EnumerationCapExceeded, match=message):
+        group_pattern_codebook(n_c, n_c)
+    # a valid config: its single-frame mapping asks for the same table
+    cfg = SystemConfig(n_subcarriers=n_c, n_groups=1, alphabet_size=n_c)
+    alphabet = PreChirpAlphabet(tuple((m + 1) / (n_c + 1) for m in range(n_c)))
+    with pytest.raises(EnumerationCapExceeded, match=message):
+        bits_to_frame(np.zeros(frame_bit_count(cfg), dtype=int), cfg, alphabet)
 
 
 def _bits_of(value, width):

@@ -149,6 +149,25 @@ def test_cpp_phase_off_the_default_post_chirp():
     assert np.array_equal(with_cpp[3:], s)
 
 
+@pytest.mark.parametrize("n,l_cp,c1", [(5, 3, 0.17), (8, 4, 0.3), (7, 7, 0.123)])
+def test_prefixed_frame_is_the_synthesis_sum_at_negative_samples(n, l_cp, c1):
+    # the chirp-periodic prefix continues the DAFT synthesis sum to n < 0, for
+    # any post-chirp: sum_m x_m e^{i2pi(c2_m m^2 + m n / N + c1 n^2)} / sqrt(N)
+    cfg = SystemConfig(
+        n_subcarriers=n, n_groups=1, alphabet_size=n, cpp_length=l_cp, post_chirp=c1
+    )
+    rng = RandomSource(n).generator()
+    alphabet = PreChirpAlphabet(tuple(np.sort(rng.uniform(0.01, 0.99, n))))
+    pcpg = rng.permutation(n).astype(np.int8)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = np.arange(n)[:, None]
+    samples = np.arange(-l_cp, n)[None, :]
+    c2 = alphabet.array[pcpg][:, None]
+    basis = np.exp(2j * np.pi * (c2 * m**2 + m * samples / n + c1 * samples**2)) / np.sqrt(n)
+    expected = x @ basis
+    assert np.allclose(add_cpp(modulate(x, cfg, alphabet, pcpg), cfg), expected, rtol=0, atol=1e-13)
+
+
 def test_cpp_batch_matches_single_frames():
     cfg = _cfg(n=8, d_max=2)
     rng = RandomSource(4).generator()
