@@ -90,17 +90,16 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     result = pso_optimize(scenario.cfg, ctx, params, RandomSource(scenario.seed).generator())
     if args.out:
         save_alphabet(result.alphabet, args.out)
-        log_path = args.log or args.out + ".convergence.csv"
-        with open(log_path, "w", encoding="utf-8") as fh:
-            write_convergence_csv(result.history, fh)
         print(f"alphabet -> {args.out}  (fitness {result.fitness:.12g})")
-        print(f"convergence -> {log_path}")
     else:
         for v in result.alphabet.values:
             print(f"{v:.12g}")
-        if args.log:
-            with open(args.log, "w", encoding="utf-8") as fh:
-                write_convergence_csv(result.history, fh)
+    log_path = args.log or (args.out and args.out + ".convergence.csv")
+    if log_path:
+        with open(log_path, "w", encoding="utf-8") as fh:
+            write_convergence_csv(result.history, fh)
+        if args.out:
+            print(f"convergence -> {log_path}")
     return 0
 
 

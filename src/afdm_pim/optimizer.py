@@ -141,9 +141,8 @@ def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray, lam: in
     sub = np.arange(n)
     u, v = np.nonzero(pj != pk)[1].reshape(-1, 2).T
     rows = np.arange(len(u))
+    # permutations never differ in one place, so pj and pk swap a and b on u, v
     a, b = pj[rows, u], pk[rows, u]
-    if np.any(pj[rows, v] != b) or np.any(pk[rows, v] != a):
-        raise ValueError("every Hamming-2 pattern pair must be a transposition")
     keys, pair_class = np.unique(np.stack([u, v, a, b], axis=1), axis=0, return_inverse=True)
     cu, cv = keys[:, 0], keys[:, 1]
     # hits[n, m]: how many (placement, path) read column m on row n
@@ -173,19 +172,25 @@ def _pair_classes(pj: np.ndarray, pk: np.ndarray, col_index: np.ndarray, lam: in
     )
 
 
-def _collision_terms(group_patterns, cfg: SystemConfig) -> tuple:
+def _collision_terms(group_patterns: np.ndarray, cfg: SystemConfig) -> tuple:
     """Every pair of legitimate patterns that differ inside one group, grouped
-    by the number of subcarriers on which they differ."""
-    by_size: dict[int, list] = {}
-    for g in range(cfg.n_groups):
-        for pa, pb in combinations(np.array(group_patterns), 2):
-            support = np.flatnonzero(pa != pb)
-            entry = (g * cfg.group_size + support, pa[support], pb[support])
-            by_size.setdefault(len(support), []).append(entry)
-    return tuple(
-        tuple(np.array(column) for column in zip(*entries))
-        for _, entries in sorted(by_size.items())
-    )
+    by the number s of subcarriers on which they differ: per s, the (T, s)
+    subcarriers and the two patterns' alphabet indices on them, ordered by
+    group, then by pair (lo, hi) of group-table rows, lo < hi."""
+    lo, hi = np.triu_indices(len(group_patterns), 1)
+    pa, pb = group_patterns[lo], group_patterns[hi]
+    differs = pa != pb
+    size = np.count_nonzero(differs, axis=1)
+    offsets = cfg.group_size * np.arange(cfg.n_groups)[:, None, None]
+    blocks = []
+    for s in np.flatnonzero(np.bincount(size)):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(size == s)
+        support = np.nonzero(differs[rows])[1].reshape(-1, s)
+        a = np.take_along_axis(pa[rows], support, axis=1)
+        b = np.take_along_axis(pb[rows], support, axis=1)
+        sub = (offsets + support).reshape(-1, s)
+        blocks.append((sub, np.tile(a, (cfg.n_groups, 1)), np.tile(b, (cfg.n_groups, 1))))
+    return tuple(blocks)
 
 
 def _symbol_pairs(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,9 +291,7 @@ def collision_score(alphabet, ctx: ObjectiveContext) -> float:
 
 def min_pair_objective(alphabet, ctx: ObjectiveContext) -> float:
     """The max-min design target: minimum reduced objective over Hamming-2 pairs."""
-    if not ctx.pairs:
-        raise ValueError("context has no Hamming-2 pattern pairs")
-    return float(np.min(_class_objectives(np.atleast_2d(_values_of(alphabet)), ctx)))
+    return float(_class_objectives(_values_of(alphabet)[None], ctx).min())
 
 
 @dataclass(frozen=True)
@@ -410,14 +413,8 @@ def pso_optimize(
             global_pos = positions[best].copy()
         history.append((iteration, global_fit))
 
-    canon = np.sort(global_pos)[None]
-    # the class route of min_pair_objective on the same (1, lambda) array, so
-    # the fitness equals min_pair_objective(alphabet, ctx) exactly
-    return PsoResult(
-        alphabet=PreChirpAlphabet(tuple(canon[0].tolist())),
-        fitness=float(_class_objectives(canon, ctx).min()),
-        history=tuple(history),
-    )
+    alphabet = PreChirpAlphabet(tuple(np.sort(global_pos).tolist()))
+    return PsoResult(alphabet, min_pair_objective(alphabet, ctx), tuple(history))
 
 
 def write_convergence_csv(history, fileobj) -> None:

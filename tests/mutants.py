@@ -106,6 +106,98 @@ MUTANTS = (
         "points.flags.writeable = True",
         ("tests/test_detection.py::test_every_shared_table_is_read_only",),
     ),
+    Mutant(
+        "prefix phase without its N^2 term",
+        "transceiver.py",
+        "(n**2 + 2 * n * neg)",
+        "(2 * n * neg)",
+        (
+            "tests/test_transceiver.py::test_prefixed_frame_is_the_synthesis_sum_at_negative_samples",
+            "tests/test_channel.py::test_time_domain_operator_equals_sample_route",
+        ),
+    ),
+    Mutant(
+        "Doppler phase referenced to the first prefix sample",
+        "channel.py",
+        "time_rel = np.arange(total) - cfg.cpp_length",
+        "time_rel = np.arange(total)",
+        (
+            "tests/test_channel.py::test_time_domain_operator_equals_sample_route",
+            "tests/test_acceptance.py::test_03_dual_channel_construction",
+        ),
+    ),
+    Mutant(
+        "detector's winner index divided by C_h",
+        "detection.py",
+        "i, j = divmod(best, metrics.shape[1])",
+        "i, j = divmod(best, metrics.shape[0])",
+        ("tests/test_detection.py::test_detect_matches_exhaustive_operator_search",),
+    ),
+    Mutant(
+        "detector's homogeneous weights of alpha and beta swapped",
+        "detection.py",
+        "[tail.view(float).T, np.ones((1, len(tail))), np.zeros((1, len(tail)))]",
+        "[tail.view(float).T, np.zeros((1, len(tail))), np.ones((1, len(tail)))]",
+        (
+            "tests/test_detection.py::test_noiseless_exhaustive_recovery",
+            "tests/test_detection.py::test_detect_matches_exhaustive_operator_search",
+        ),
+    ),
+    Mutant(
+        "detector's head of floor(F/2) factors",
+        "detection.py",
+        "head_factors = (n_factors + 1) // 2",
+        "head_factors = n_factors // 2",
+        ("tests/test_detection.py::test_factor_parts_sum_to_codeword_frames_in_payload_order",),
+    ),
+    Mutant(
+        "diversity scans the full support beyond capacity",
+        "analysis.py",
+        "size = p_paths if p_paths <= len(cells) else 1",
+        "size = min(p_paths, len(cells))",
+        (
+            "tests/test_analysis.py::test_diversity_beyond_capacity_is_the_minimum_over_every_support",
+            "tests/test_golden.py::test_diversity_report_matches_golden",
+        ),
+    ),
+    Mutant(
+        "pattern table built before the pattern-pair count",
+        "optimizer.py",
+        "    n_patterns = (2 ** index_bits_per_group(lam, n_c)) ** cfg.n_groups\n",
+        "    group_patterns = group_pattern_codebook(lam, n_c)\n"
+        "    n_patterns = (2 ** index_bits_per_group(lam, n_c)) ** cfg.n_groups\n",
+        ("tests/test_optimizer.py::test_context_refuses_too_many_pattern_pairs_before_allocating",),
+    ),
+    Mutant(
+        "bound's bit distance read at arange(i, C) ^ i",
+        "analysis.py",
+        "tau = ones[np.arange(i + 1, len(ones)) ^ i]",
+        "tau = ones[np.arange(i, len(ones)) ^ i]",
+        (
+            "tests/test_analysis.py::test_abep_curve_matches_scalar_upep_route",
+            "tests/test_analysis.py::test_abep_monotone_and_clipped",
+        ),
+    ),
+    Mutant(
+        "int_to_bits rows LSB first",
+        "mapping.py",
+        "return np.ascontiguousarray(bits).view(np.int8)",
+        "return np.ascontiguousarray(bits[..., ::-1]).view(np.int8)",
+        (
+            "tests/test_mapping.py::test_bit_conversions_invert_each_other_on_arrays",
+            "tests/test_mapping.py::test_pattern_codebook_matches_published_table",
+        ),
+    ),
+    Mutant(
+        "collision table without the group offset",
+        "optimizer.py",
+        "offsets = cfg.group_size * np.arange(cfg.n_groups)[:, None, None]",
+        "offsets = 0 * np.arange(cfg.n_groups)[:, None, None]",
+        (
+            "tests/test_optimizer.py::test_pso_seed_42_alphabets_are_pinned",
+            "tests/test_properties.py::test_collision_terms_match_the_per_pair_loop",
+        ),
+    ),
 )
 
 EQUIVALENT = (

@@ -279,6 +279,10 @@ def test_spectral_efficiency_values():
     assert spectral_efficiency("AFDM-PIM", 2, n_c=3) == pytest.approx(1 + 2 / 3)
     with pytest.raises(ValueError, match="unknown scheme"):
         spectral_efficiency("ofdm", 4)
+    with pytest.raises(ValueError, match="^afdm_im needs n_c and a$"):
+        spectral_efficiency("afdm_im", 2, n_c=4)
+    with pytest.raises(ValueError, match="^afdm_pim needs n_c$"):
+        spectral_efficiency("afdm_pim", 2)
 
 
 def test_jakes_doppler_pmf():

@@ -157,6 +157,16 @@ def test_awgn_variance():
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(0.5, rel=0.05)
 
 
+def test_malformed_paths_and_frames_are_rejected():
+    with pytest.raises(ValueError, match="^gains, delays, and dopplers must have equal length$"):
+        ChannelRealization(np.ones(2), np.array([0]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="^p_paths must be >= 1$"):
+        draw_paths(CFG, 0, RandomSource(4).generator())
+    ident = ChannelRealization(np.array([1.0 + 0j]), np.array([0]), np.array([0]))
+    with pytest.raises(ValueError, match="^expected a prefixed frame of length 10$"):
+        apply_channel_time(np.zeros(8, dtype=complex), ident, CFG, None, 0.0)
+
+
 def test_negative_delay_is_rejected():
     ch = ChannelRealization(np.array([1.0 + 0j]), np.array([-1]), np.array([0]))
     with pytest.raises(ValueError, match="non-negative"):

@@ -229,6 +229,23 @@ def test_optimize_emits_alphabet_and_log(config_path, tmp_path, capsys):
     assert len(log_lines) == 10  # initial evaluation + 8 iterations
 
 
+def test_optimize_writes_the_log_with_or_without_an_alphabet_file(config_path, tmp_path, capsys):
+    # --log alone: the alphabet goes to stdout and the log to --log's path;
+    # --out alone: the same log goes beside the alphabet file
+    args = ["optimize", config_path, "--seed", "3", "--pso-params", "particles=4,iterations=2"]
+    log = tmp_path / "conv.csv"
+    assert main([*args, "--log", str(log)]) == 0
+    printed = capsys.readouterr().out.split()
+    out = tmp_path / "alpha.txt"
+    assert main([*args, "--out", str(out)]) == 0
+    default_log = tmp_path / "alpha.txt.convergence.csv"
+    assert capsys.readouterr().out.splitlines()[1] == f"convergence -> {default_log}"
+    assert printed == [f"{v:.12g}" for v in load_alphabet(str(out)).values]
+    lines = log.read_text().splitlines()
+    assert lines[0] == "iteration,best_fitness" and len(lines) == 4
+    assert default_log.read_text() == log.read_text()
+
+
 def test_optimize_seed_zero_is_its_own_draw(config_path, monkeypatch):
     monkeypatch.delenv("SIM_SEED", raising=False)
     states = []
@@ -356,6 +373,27 @@ def test_empty_snr_grid_is_reported(tmp_path, capsys):
     assert main(["simulate", str(path), "--out", str(out)]) == 2
     assert "error: snr_grid_db is empty" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            CONFIG_TEXT.replace("snr_db = 0 10", "snr_db_step = 0"),
+            "snr_db_step must be positive",
+        ),
+        (
+            "[system]\nn_subcarriers = 5\nn_groups = 1\nalphabet_size = 5\n",
+            "no alphabet given and no published table entry for alphabet_size=5",
+        ),
+    ],
+    ids=["snr_step_zero", "no_table_alphabet"],
+)
+def test_refused_config_exits_2_naming_its_rule(text, message, tmp_path, capsys):
+    path = tmp_path / "refused.cfg"
+    path.write_text(text)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_preset_name_accepted_as_config(tmp_path, monkeypatch):

@@ -29,6 +29,8 @@ def test_default_c1_values():
     assert default_c1(8, 2) == pytest.approx(5 / 16)
     assert default_c1(6, 1) == pytest.approx(0.25)
     assert default_c1(1, 0) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="^n_subcarriers must be >= 1$"):
+        default_c1(0, 0)
 
 
 def test_post_chirp_defaults_and_override():
@@ -74,6 +76,14 @@ def test_validation_errors():
             constellation_order=8,
             constellation_kind="QAM",
         )
+    with pytest.raises(ValueError, match="^n_subcarriers and n_groups must be positive$"):
+        SystemConfig(n_subcarriers=8, n_groups=0, alphabet_size=1)
+    with pytest.raises(ValueError, match="^unknown constellation_kind 'FSK'$"):
+        SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, constellation_kind="FSK")
+    with pytest.raises(ValueError, match="^max_delay and max_doppler must be non-negative$"):
+        SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, max_delay=-1)
+    with pytest.raises(ValueError, match="^cpp_length must be non-negative$"):
+        SystemConfig(n_subcarriers=8, n_groups=2, alphabet_size=4, cpp_length=-1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.125])

@@ -4,7 +4,9 @@ and seeded swarm designs, compared byte for byte with tests/golden/pso/.
 Each sweep case is a preset with a small bit budget, so a detector, channel
 or bound rewrite that moves one ML decision or one theory digit fails here.
 `fig8_hi_post_chirp_0.17` is the only case with an off-grid post-chirp, so
-the only one whose prefix correction is not identically 1.
+the only one whose prefix correction is not identically 1. The two `fig7_*`
+cases of examples/ are the like-for-like pair: classical AFDM and AFDM-PIM on
+the fig7_pim channel, each config file at a small bit budget.
 
 Each swarm case stores the designed alphabet's repr and the convergence log,
 so an optimizer rewrite that moves one swarm decision fails here.
@@ -30,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from afdm_pim.cli import main
-from afdm_pim.config import RandomSource
+from afdm_pim.config import RandomSource, read_config_file
 from afdm_pim.mapping import frame_bit_count
 from afdm_pim.optimizer import (
     PsoParams,
@@ -38,11 +40,18 @@ from afdm_pim.optimizer import (
     pso_optimize,
     write_convergence_csv,
 )
-from afdm_pim.simulate import PRESETS, make_preset, run_scenario, write_csv
+from afdm_pim.simulate import (
+    PRESETS,
+    make_preset,
+    run_scenario,
+    scenario_from_sections,
+    write_csv,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PSO_DIR = GOLDEN_DIR / "pso"
 DIVERSITY_DIR = GOLDEN_DIR / "diversity"
+EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 
 _SHORT_GRID = (5.0, 10.0, 15.0)
 
@@ -60,6 +69,11 @@ def _case(preset, seed, frames, theory=False, grid=None, post_chirp=None):
     )
 
 
+def _example(stem, seed, frames):
+    base = scenario_from_sections(read_config_file(str(EXAMPLES_DIR / f"{stem}.cfg")), name=stem)
+    return replace(base, seed=seed, min_bits=frames * frame_bit_count(base.cfg))
+
+
 # file stem -> scenario; theory rows do not depend on the seed, so only the
 # seed-1 fig8 cases carry them (fig4's bound takes about 20 s and is left out)
 CASES = {
@@ -72,6 +86,8 @@ CASES = {
     "fig7_pim_seed7": lambda: _case("fig7_pim", 7, 64, grid=_SHORT_GRID),
     "baseline_afdm_seed7": lambda: _case("baseline_afdm", 7, 64, grid=_SHORT_GRID),
     "fig8_hi_post_chirp_0.17": lambda: _case("fig8_hi", 1, 1000, theory=True, post_chirp=0.17),
+    "fig7_classical_afdm_seed7": lambda: _example("fig7_classical_afdm", 7, 2500),
+    "fig7_pim_short_seed7": lambda: _example("fig7_pim_short", 7, 2500),
 }
 
 

@@ -232,6 +232,11 @@ def test_wrong_payload_length_rejected():
         bits_to_frame(np.zeros(5, dtype=int), BPSK42, AL2)
 
 
+def test_alphabet_of_the_wrong_size_rejected():
+    with pytest.raises(ValueError, match="^alphabet length does not match cfg.alphabet_size$"):
+        bits_to_frame(np.zeros(6, dtype=int), BPSK42, PreChirpAlphabet((0.1, 0.5, 0.9)))
+
+
 # QPSK on N = 8, G = 2, lambda = 4: B = 2 * (4 * 2 + 4) = 24 bits; both tests
 # below use the payload values 0 to 2^16 - 1
 QPSK8 = SystemConfig(
@@ -288,6 +293,8 @@ def test_alphabet_validation():
         PreChirpAlphabet((0.6, 0.2))
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         PreChirpAlphabet((0.0, 0.5))
+    with pytest.raises(ValueError, match="^alphabet must contain at least one value$"):
+        PreChirpAlphabet(())
 
 
 def test_alphabet_file_roundtrip(tmp_path):

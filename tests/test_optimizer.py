@@ -57,17 +57,14 @@ def test_context_shape():
     )
 
 
-def test_context_rejects_pairs_that_are_not_transpositions(monkeypatch):
-    # group patterns that are not permutations: (0, 1, 0, 1) and (1, 1, 1, 1)
-    # differ in two groups, so no swap of alphabet indices relates them
-    monkeypatch.setattr(optimizer, "group_pattern_codebook", lambda lam, n_c: ((0, 1), (1, 1)))
-    with pytest.raises(ValueError, match="transposition"):
-        build_objective_context(CFG_PSK, 2)
-
-
 def test_context_rejects_too_many_paths():
     with pytest.raises(ValueError, match="exceeds"):
         build_objective_context(CFG_PSK, 4)
+
+
+def test_context_rejects_no_path():
+    with pytest.raises(ValueError, match="^p_paths must be >= 1$"):
+        build_objective_context(CFG_PSK, 0)
 
 
 @pytest.mark.parametrize(

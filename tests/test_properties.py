@@ -4,14 +4,12 @@ configurations. Every draw is derandomized, so a run is deterministic."""
 import re
 from functools import lru_cache
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afdm_pim import optimizer
 from afdm_pim.analysis import abep_curve_jakes, jakes_geometry_mixture, pairwise_difference, upep
 from afdm_pim.channel import ChannelRealization, apply_channel_time, path_time_operator
 from afdm_pim.config import SystemConfig
@@ -40,10 +38,9 @@ from dense_search import dense_metrics
 MIN_GAP = 0.02  # closer values make 1 - cos cancel in the oracle as well
 ORACLE_PAIRS = 32  # pairs checked besides one per class
 
-# (N, G) with lambda = N/G >= 2. N = 8, G = 1 is left out: its pattern-pair
-# Hamming tensor needs 8 GiB. N = 7, G = 1 is left out: its 4,096 group
-# patterns give 8.4 million collision pattern pairs, more memory than a test
-# may take.
+# (N, G) with lambda = N/G >= 2. N = 7 and N = 8 with G = 1 are left out:
+# their 4,096 and 32,768 patterns make more pattern pairs than the enumeration
+# limit, so `build_objective_context` refuses them before it builds any table.
 GEOMETRIES = [
     (n, g)
     for n in range(2, 9)
@@ -52,11 +49,30 @@ GEOMETRIES = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _geometry_collision_terms(n, g):
-    # they depend on (N, G) alone, and take most of a second on N = 6, G = 1
+def _collision_terms_oracle(group_patterns, cfg):
+    """`_collision_terms` as a loop over the group-table row pairs, one support each."""
+    by_size = {}
+    for g in range(cfg.n_groups):
+        for pa, pb in combinations(group_patterns, 2):
+            support = np.flatnonzero(pa != pb)
+            entry = (g * cfg.group_size + support, pa[support], pb[support])
+            by_size.setdefault(len(support), []).append(entry)
+    return tuple(
+        tuple(np.array(column) for column in zip(*entries))
+        for _, entries in sorted(by_size.items())
+    )
+
+
+@pytest.mark.parametrize("n, g", GEOMETRIES)
+def test_collision_terms_match_the_per_pair_loop(n, g):
     cfg = SystemConfig(n_subcarriers=n, n_groups=g, alphabet_size=n // g)
-    return _collision_terms(group_pattern_codebook(n // g, n // g), cfg)
+    table = group_pattern_codebook(n // g, n // g)
+    got, want = _collision_terms(table, cfg), _collision_terms_oracle(table, cfg)
+    assert len(got) == len(want)
+    for block, expected in zip(got, want):
+        for array, oracle in zip(block, expected):
+            assert array.dtype == oracle.dtype
+            assert np.array_equal(array, oracle)
 
 
 @lru_cache(maxsize=None)
@@ -65,9 +81,7 @@ def _context(n, g, d_max, a_max, p_paths):
         n_subcarriers=n, n_groups=g, alphabet_size=n // g,
         max_delay=d_max, max_doppler=a_max, cpp_length=d_max,
     )
-    terms = _geometry_collision_terms(n, g)
-    with mock.patch.object(optimizer, "_collision_terms", lambda *_: terms):
-        return build_objective_context(cfg, p_paths)
+    return build_objective_context(cfg, p_paths)
 
 
 @st.composite

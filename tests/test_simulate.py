@@ -59,6 +59,8 @@ def test_scenario_validation():
         _tiny(snr=(10.0, 10.0))
     with pytest.raises(ValueError, match="empty"):
         _tiny(snr=())
+    with pytest.raises(ValueError, match="^p_paths must be >= 1$"):
+        _tiny(p_paths=0)
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError, match=f"holds {bad}"):
             _tiny(snr=(0.0, bad))
@@ -161,6 +163,8 @@ def test_ber_point_invariants():
         BerPoint(snr_db=0, bits=10, errors=1, ber=0.1, kind="sim")
     with pytest.raises(ValueError, match="errors/bits"):
         BerPoint(snr_db=0, bits=10, errors=1, ber=0.2, kind="simulation")
+    with pytest.raises(ValueError, match=r"^ber 1.5 outside \[0, 1\]$"):
+        BerPoint(snr_db=0, bits=10, errors=15, ber=1.5, kind="simulation")
 
 
 def test_csv_schema():

@@ -185,6 +185,14 @@ def test_cpp_zero_length_identity():
     assert np.array_equal(remove_cpp(s, cfg), s)
 
 
+def test_pattern_and_symbol_length_mismatch():
+    cfg = _cfg()
+    with pytest.raises(ValueError, match="^pattern length does not match n_subcarriers$"):
+        build_daft(cfg, AL4, np.zeros(7, dtype=int))
+    with pytest.raises(ValueError, match="^x must have length 8$"):
+        modulate(np.ones(7), cfg, AL4, np.zeros(8, dtype=int))
+
+
 def test_cpp_length_mismatch():
     cfg = _cfg(n=8, d_max=1)
     with pytest.raises(ValueError):
