@@ -1,4 +1,4 @@
-"""Doubly dispersive channel: sampling, time-domain application, per-path operators."""
+"""Doubly dispersive channel: sampling, time-domain application, the channel operator."""
 
 from __future__ import annotations
 
@@ -88,16 +88,14 @@ def apply_channel_batch(
         # the delay-Doppler grid ends at max_doppler; beyond it a Doppler aliases modulo N
         raise ValueError(f"path Dopplers must lie in [-{cfg.max_doppler}, {cfg.max_doppler}]")
     time_rel = np.arange(total) - cfg.cpp_length
-    rows = np.arange(frames)[:, None]
     # L zeros before each frame: sample n - d_p is padded[n + L - d_p], and d_p <= L
     lead = cfg.cpp_length - delays
     padded = np.concatenate([np.zeros((frames, cfg.cpp_length), complex), prefixed], axis=1)
-    received = np.zeros_like(prefixed)
-    for p in range(gains.shape[1]):
-        shifted = padded[rows, np.arange(total)[None, :] + lead[:, p][:, None]]
-        phase = np.exp(-2j * np.pi * (dopplers[:, p][:, None] / n) * time_rel[None, :])
-        received += gains[:, p][:, None] * shifted * phase
-    return received
+    index = np.arange(total)[None, None, :] + lead[:, :, None]  # (F, P, N+L)
+    shifted = np.take_along_axis(padded[:, None, :], index, axis=2)
+    phase = np.exp(-2j * np.pi * (dopplers[:, :, None] / n) * time_rel[None, None, :])
+    # sums over the path axis in path order
+    return np.sum(gains[:, :, None] * shifted * phase, axis=1)
 
 
 def complex_awgn(
@@ -145,20 +143,14 @@ def path_offset(cfg: SystemConfig, delay: int, doppler: int) -> int:
     return (doppler + round(step)) % n
 
 
-def path_time_operator(cfg: SystemConfig, delay: int, doppler: int) -> np.ndarray:
-    """Unit-gain circular time-domain operator (N, N) of one path: column k is
-    the prefix-free body that `apply_channel_batch` returns for the prefixed
-    unit frame e_k, so the prefix correction comes from `add_cpp` itself."""
-    n = cfg.n_subcarriers
-    path = np.ones((n, 1), dtype=complex), np.full((n, 1), delay), np.full((n, 1), doppler)
-    bodies = apply_channel_batch(add_cpp(np.eye(n), cfg), *path, cfg)[:, cfg.cpp_length :]
-    return np.ascontiguousarray(bodies.T)
-
-
 def time_domain_operator(ch: ChannelRealization, cfg: SystemConfig) -> np.ndarray:
-    """Circular operator H = sum_p h_p H_p, r = H s on prefix-free frames (no noise)."""
-    paths = zip(ch.gains, ch.delays, ch.dopplers)
-    return sum(h * path_time_operator(cfg, int(d), int(a)) for h, d, a in paths)
+    """Circular operator H (N, N), r = H s on prefix-free frames (no noise): column k
+    is the prefix-free body that `apply_channel_batch` returns for the prefixed unit
+    frame e_k under every path, so the prefix correction comes from `add_cpp` itself."""
+    n = cfg.n_subcarriers
+    paths = (np.broadcast_to(v, (n, len(v))) for v in (ch.gains, ch.delays, ch.dopplers))
+    bodies = apply_channel_batch(add_cpp(np.eye(n), cfg), *paths, cfg)[:, cfg.cpp_length :]
+    return np.ascontiguousarray(bodies.T)
 
 
 def delay_doppler_cells(cfg: SystemConfig) -> tuple[tuple[int, int], ...]:

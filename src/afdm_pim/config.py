@@ -5,7 +5,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -256,5 +256,11 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
 
 
 def system_config_from_items(items: Mapping[str, str]) -> SystemConfig:
-    """Build a SystemConfig from a [system] section; keys map 1:1 onto fields."""
-    return SystemConfig(**read_section(items, "system"))
+    """Build a SystemConfig from a [system] section; keys map 1:1 onto fields, and
+    one ValueError names every field without a default that the section lacks."""
+    values = read_section(items, "system")
+    required = [f.name for f in fields(SystemConfig) if f.default is MISSING]
+    missing = [name for name in required if name not in values]
+    if missing:
+        raise ValueError(f"[system] section is missing {', '.join(missing)}")
+    return SystemConfig(**values)

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, delay_doppler_cells, path_time_operator
+from .channel import ChannelRealization, delay_doppler_cells, time_domain_operator
 from .config import SystemConfig
 from .mapping import (
     PreChirpAlphabet,
@@ -109,7 +109,8 @@ def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> FactorTab
             )
     basis = _synthesis(cfg)
     grid = delay_doppler_cells(cfg)
-    cells = np.stack([(basis @ path_time_operator(cfg, *cell).T).ravel() for cell in grid])
+    unit_paths = (ChannelRealization([1.0], [d], [a]) for d, a in grid)
+    cells = np.stack([(basis @ time_domain_operator(ch, cfg).T).ravel() for ch in unit_paths])
     tables = FactorTables(
         head=head,
         tail=tail,

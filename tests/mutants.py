@@ -127,6 +127,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "every path takes path 0's Doppler ramp",
+        "channel.py",
+        "(dopplers[:, :, None] / n)",
+        "(dopplers[:, :1, None] / n)",
+        (
+            "tests/test_channel.py::test_time_domain_operator_equals_sample_route",
+            "tests/test_channel.py::test_operator_is_the_gain_weighted_sum_of_its_unit_path_operators",
+            "tests/test_simulate.py::test_batch_channel_matches_time_domain_operator",
+        ),
+    ),
+    Mutant(
+        "every path takes path 0's gain",
+        "channel.py",
+        "gains[:, :, None] * shifted",
+        "gains[:, :1, None] * shifted",
+        (
+            "tests/test_channel.py::test_time_domain_operator_equals_sample_route",
+            "tests/test_channel.py::test_operator_is_the_gain_weighted_sum_of_its_unit_path_operators",
+            "tests/test_simulate.py::test_batch_channel_matches_time_domain_operator",
+        ),
+    ),
+    Mutant(
+        "every path takes path 0's delay",
+        "channel.py",
+        "lead[:, :, None]",
+        "lead[:, :1, None]",
+        (
+            "tests/test_channel.py::test_time_domain_operator_equals_sample_route",
+            "tests/test_channel.py::test_operator_is_the_gain_weighted_sum_of_its_unit_path_operators",
+            "tests/test_simulate.py::test_batch_channel_matches_time_domain_operator",
+        ),
+    ),
+    Mutant(
         "detector's winner index divided by C_h",
         "detection.py",
         "i, j = divmod(best, metrics.shape[1])",

@@ -8,12 +8,12 @@ from afdm_pim.channel import (
     delay_doppler_cells,
     draw_paths,
     path_offset,
-    path_time_operator,
     sample_channel,
     time_domain_operator,
 )
 from afdm_pim.config import RandomSource, SystemConfig
 from afdm_pim.mapping import PreChirpAlphabet, bits_to_frame, frame_bit_count
+from afdm_pim.simulate import make_preset
 from afdm_pim.suites import closed_form_paths
 from afdm_pim.transceiver import add_cpp, build_daft, modulate, remove_cpp
 
@@ -146,6 +146,24 @@ def test_time_domain_operator_equals_sample_route():
         assert np.max(np.abs(a @ time_domain_operator(ch, cfg) @ s - closed)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "cfg, geometry",
+    [
+        (make_preset("fig7_pim").cfg, [(1, 2), (0, -2), (1, -1)]),
+        (CFG, [(2, 1), (0, -1), (2, 1)]),
+    ],
+    ids=["fig7", "two_paths_in_one_cell"],
+)
+def test_operator_is_the_gain_weighted_sum_of_its_unit_path_operators(cfg, geometry):
+    # superposition: the paths, applied in one pass, add as their own operators do
+    rng = RandomSource(14).generator()
+    gains = rng.standard_normal(len(geometry)) + 1j * rng.standard_normal(len(geometry))
+    delays, dopplers = (np.array(v) for v in zip(*geometry))
+    unit = [time_domain_operator(ChannelRealization([1.0], [d], [a]), cfg) for d, a in geometry]
+    got = time_domain_operator(ChannelRealization(gains, delays, dopplers), cfg)
+    assert np.max(np.abs(got - np.tensordot(gains, unit, 1))) < 1e-12
+
+
 def test_awgn_variance():
     rng = RandomSource(13).generator()
     s = np.zeros(10, dtype=complex)
@@ -196,8 +214,9 @@ def test_batch_channel_and_path_operator_refuse_a_path_outside_the_channel(
     paths = np.ones((2, 1)), np.array([[0], [delay]]), np.array([[0], [doppler]])
     with pytest.raises(ValueError, match=message):
         apply_channel_batch(frames, *paths, CFG)
+    ch = ChannelRealization(np.ones(2), np.array([0, delay]), np.array([0, doppler]))
     with pytest.raises(ValueError, match=message):
-        path_time_operator(CFG, delay, doppler)
+        time_domain_operator(ch, CFG)
 
 
 def test_noise_requires_rng():

@@ -559,6 +559,18 @@ def test_alphabet_size_the_codebook_cannot_build_exits_2_naming_the_rule(
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze", "optimize"])
+def test_system_section_without_required_keys_exits_2_naming_them(command, tmp_path, capsys):
+    # SystemConfig(**fields) used to raise TypeError: a traceback and exit 1
+    path = tmp_path / "missing.cfg"
+    path.write_text("[system]\nn_subcarriers = 4\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: [system] section is missing n_groups, alphabet_size\n",
+    )
+
+
 def test_unknown_pso_parameter_exits_2_naming_it(config_path, tmp_path, capsys):
     out = tmp_path / "alpha.txt"
     args = ["optimize", config_path, "--pso-params", "particles=4,swarm=9", "--out", str(out)]

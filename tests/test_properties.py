@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afdm_pim.analysis import abep_curve_jakes, jakes_geometry_mixture, pairwise_difference, upep
-from afdm_pim.channel import ChannelRealization, apply_channel_time, path_time_operator
+from afdm_pim.channel import ChannelRealization, apply_channel_time, time_domain_operator
 from afdm_pim.config import SystemConfig
 from afdm_pim.detection import MLDetector, codeword_time_signals, path_image_tensor
 from afdm_pim.mapping import (
@@ -47,6 +47,11 @@ GEOMETRIES = [
     for g in range(1, n)
     if n % g == 0 and (n, g) not in ((7, 1), (8, 1))
 ]
+
+
+def _path_operator(cfg, d, a):
+    """The channel operator of the unit-gain path in cell (d, a)."""
+    return time_domain_operator(ChannelRealization([1.0], [d], [a]), cfg)
 
 
 def _collision_terms_oracle(group_patterns, cfg):
@@ -212,7 +217,7 @@ def test_derived_channel_frames_and_decisions_match_their_oracles(case, seed):
         a_mat = build_daft(cfg, alphabet, frame.pcpg)
         closed = closed_form_paths(cfg, alphabet.array[frame.pcpg], geometry)
         for (d, a), want in zip(geometry, closed):
-            got = a_mat @ path_time_operator(cfg, d, a) @ a_mat.conj().T
+            got = a_mat @ _path_operator(cfg, d, a) @ a_mat.conj().T
             assert np.max(np.abs(got - want)) < 1e-9, (cfg, geometry)
 
     try:
@@ -229,7 +234,7 @@ def test_derived_channel_frames_and_decisions_match_their_oracles(case, seed):
     # each path's codeword images against the frames through its derived operator
     images = path_image_tensor(cfg, alphabet, geometry)
     for p, (d, a) in enumerate(geometry):
-        want = signals @ path_time_operator(cfg, d, a).T
+        want = signals @ _path_operator(cfg, d, a).T
         assert np.max(np.abs(images[:, :, p] - want)) < 1e-12, (cfg, geometry)
 
     # noisy decisions against the dense search over the sample-level images
@@ -263,7 +268,7 @@ def test_bound_matches_per_pair_upep(case, n0):
     payload = codeword_table(cfg)
     total = 0.0
     for support, mult, weight in jakes_geometry_mixture(cfg, p_paths):
-        phi = np.stack([signals @ path_time_operator(cfg, d, a).T for d, a in support], axis=-1)
+        phi = np.stack([signals @ _path_operator(cfg, d, a).T for d, a in support], axis=-1)
         phi = phi * np.sqrt(np.asarray(mult) / p_paths)  # column gain variance mult/P
         for i, j in combinations(range(len(signals)), 2):
             tau = np.count_nonzero(payload[i] != payload[j])
