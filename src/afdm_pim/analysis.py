@@ -11,14 +11,14 @@ import numpy as np
 
 from .channel import delay_doppler_cells
 from .config import SystemConfig
-from .detection import Geometry, path_image_tensor
+from .detection import path_image_tensor
 from .mapping import (
     EnumerationCapExceeded,
     PreChirpAlphabet,
     codeword_count,
+    codeword_table,
     frame_bit_count,
     index_bits_per_group,
-    int_to_bits,
 )
 
 RANK_TOLERANCE = 1e-9
@@ -83,18 +83,13 @@ def _check_scan_size(cfg: SystemConfig, supports: int, escape: str = "") -> None
         )
 
 
-def _pair_spectra(
-    cfg: SystemConfig,
-    alphabet: PreChirpAlphabet,
-    support: Geometry,
-    scale: float | np.ndarray = 1.0,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Masked Gram eigenvalues of every unordered codeword pair on one support.
+def _pair_spectra(phi: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Masked Gram eigenvalues of every unordered codeword pair of an image
+    tensor phi (C, N, P), such as `path_image_tensor` on one support.
 
-    Yields (i, eigs) per codeword row i, eigs (C - 1 - i, |support|) being the
-    spectra of (phi[j] - phi[i]) * scale for j > i; scale weights the columns.
+    Yields (i, eigs) per codeword row i, eigs (C - 1 - i, P) being the spectra
+    of phi[j] - phi[i] for j > i.
     """
-    phi = path_image_tensor(cfg, alphabet, support) * scale
     for i in range(len(phi) - 1):
         diff = phi[i + 1 :] - phi[i]
         psi = np.einsum("bnp,bnq->bpq", diff.conj(), diff)
@@ -182,12 +177,12 @@ def abep_curve_jakes(
     b_total = frame_bit_count(cfg)
     acc = np.zeros(n0.shape, dtype=float)
     supports = bound_supports(cfg, p_paths)  # refuses an oversized codebook first
-    # bit distance of pair (i, j): the set bits of i ^ j
-    ones = np.count_nonzero(int_to_bits(np.arange(2**b_total), b_total), axis=1)
+    # bit distance of pair (i, j): the set bits of i ^ j, the payload row of i ^ j
+    ones = codeword_table(cfg).sum(axis=1)
     for support, mult, weight in supports:
         scale = np.sqrt(np.asarray(mult, dtype=float) / p_paths)
         pair_sum = np.zeros(n0.shape, dtype=float)
-        for i, eigs in _pair_spectra(cfg, alphabet, support, scale):
+        for i, eigs in _pair_spectra(path_image_tensor(cfg, alphabet, support) * scale):
             tau = ones[np.arange(i + 1, len(ones)) ^ i]
             ratio = eigs[None, :, :] / n0[:, None, None]
             t1 = np.prod(1.0 / (1.0 + ratio / 4.0), axis=2)
@@ -207,14 +202,18 @@ def diversity_order(cfg: SystemConfig, alphabet: PreChirpAlphabet, p_paths: int)
     and paths on one cell add into one column, so a placement's rank is at least
     its rank on any one of its cells, which P paths on that cell alone attain:
     the supports are then the single cells. Their count is checked against
-    `MAX_PAIR_TERMS` before any support is built.
+    `MAX_PAIR_TERMS` before the images are built, once over every cell: each
+    support is a set of their columns.
     """
+    if p_paths < 1:
+        raise ValueError("the empty placement () holds no path")
     cells = delay_doppler_cells(cfg)
     size = p_paths if p_paths <= len(cells) else 1
     _check_scan_size(cfg, math.comb(len(cells), size))
+    phi = path_image_tensor(cfg, alphabet, cells)
     best = size  # no support's rank exceeds its size
-    for support in combinations(cells, size):
-        for _, eigs in _pair_spectra(cfg, alphabet, support):
+    for support in combinations(range(len(cells)), size):
+        for _, eigs in _pair_spectra(phi[..., support]):
             best = min(best, int(np.count_nonzero(eigs, axis=1).min()))
             if best == 0:
                 return 0

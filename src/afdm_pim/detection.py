@@ -63,8 +63,8 @@ class FactorTables:
 
     head: np.ndarray  # (C_h, n_h + 1) complex
     tail: np.ndarray  # (C_t, n_t) complex
-    head_forms: np.ndarray  # (C_h, 2 (n_h + 1)(N + 1)) real
-    tail_forms: np.ndarray  # (C_t, 2 n_t (N + 1)) real
+    head_forms: np.ndarray  # (C_h, 2 (n_h + 1)^2) real
+    tail_forms: np.ndarray  # (C_t, 2 n_t^2) real
     cells: np.ndarray  # (grid cells, N * N) complex, flattened B H_cell^T
     cell_index: Mapping[tuple[int, int], int]  # (delay, Doppler) -> row of `cells`
 
@@ -114,8 +114,8 @@ def factor_tables(cfg: SystemConfig, alphabet: PreChirpAlphabet, /) -> FactorTab
     tables = FactorTables(
         head=head,
         tail=tail,
-        head_forms=_form_rows(head, 0, n + 1),
-        tail_forms=_form_rows(tail, k + 1, n + 1),
+        head_forms=_form_rows(head),
+        tail_forms=_form_rows(tail),
         cells=cells,
         cell_index=MappingProxyType({cell: row for row, cell in enumerate(grid)}),
     )
@@ -143,15 +143,13 @@ def _shared_row(rows: np.ndarray) -> tuple[int, int] | None:
     return None
 
 
-def _form_rows(values: np.ndarray, first: int, width: int) -> np.ndarray:
-    """Rows q with q @ gram[first:first + n].view(float).ravel() = x G x^H / 2 for
-    each row x of values (n entries), G = gram[first:first + n, first:first + n]
-    and gram having `width` columns."""
+def _form_rows(values: np.ndarray) -> np.ndarray:
+    """Rows q with q @ G.view(float).ravel() = x G x^H / 2 for each row x of
+    values (n entries) and any (n, n) matrix G."""
     count, size = values.shape
-    forms = np.zeros((count, size, width), dtype=complex)
-    # the float views dot to Re(sum conj(q) * gram), hence the conjugated coefficient
-    forms[:, :, first : first + size] = 0.5 * values.conj()[:, :, None] * values[:, None, :]
-    return forms.reshape(count, size * width).view(float)
+    # the float views dot to Re(sum conj(q) * G), hence the conjugated coefficient
+    forms = 0.5 * values.conj()[:, :, None] * values[:, None, :]
+    return forms.reshape(count, size * size).view(float)
 
 
 def _prechirped(
@@ -237,13 +235,13 @@ class MLDetector:
         t = self.tables
         k = t.n_head
         images = self.candidate_images(ch)
-        # r between the head and tail images keeps each quadratic form's Gram rows contiguous
+        # r between the head and tail images makes gram[:k+1, k+1:] the cross block
         rows = np.concatenate([images[:k], r[None, :], images[k:]])
         gram = rows @ rows.T.conj()
         head, tail = self._head_rows.copy(), self._tail_cols.copy()
         np.matmul(t.head, gram[: k + 1, k + 1 :], out=head[:, :-2].view(complex))
-        np.matmul(t.head_forms, gram[: k + 1].view(float).ravel(), out=head[:, -2])
-        np.matmul(t.tail_forms, gram[k + 1 :].view(float).ravel(), out=tail[-1])
+        np.matmul(t.head_forms, gram[: k + 1, : k + 1].view(float).ravel(), out=head[:, -2])
+        np.matmul(t.tail_forms, gram[k + 1 :, k + 1 :].view(float).ravel(), out=tail[-1])
         metrics = head @ tail
         best = int(metrics.argmin())  # row-major is payload order
         # the expanded metric cancels to about 1e-15, so return the winner's own residual

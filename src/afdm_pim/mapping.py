@@ -190,7 +190,7 @@ def codeword_rows(cfg: SystemConfig, values: np.ndarray) -> tuple[np.ndarray, np
 def codeword_table(cfg: SystemConfig, /) -> np.ndarray:
     """The codebook's payloads (C, B) int8 in payload order, row c the B-bit form
     of c (cached, read-only); `codeword_rows` derives any rows' symbols and patterns."""
-    count = codeword_count(cfg)
-    payload = int_to_bits(np.arange(count), frame_bit_count(cfg))
+    indices = np.arange(codeword_count(cfg))  # the one enumeration of the payloads
+    payload = int_to_bits(indices, frame_bit_count(cfg))
     payload.flags.writeable = False  # shared by every caller of the cache
     return payload

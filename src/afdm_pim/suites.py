@@ -4,20 +4,19 @@ and the brute-force pattern-pair objectives."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import apply_channel_time, path_offset, sample_channel, time_domain_operator
-from .config import RandomSource, SystemConfig, constellation_for
+from .config import RandomSource, SystemConfig
 from .detection import Geometry
 from .mapping import (
     PreChirpAlphabet,
     bits_to_frame,
-    bits_to_int,
     codeword_count,
+    codeword_rows,
     frame_bit_count,
-    int_to_bits,
 )
 from .optimizer import (
     ObjectiveContext,
@@ -130,14 +129,6 @@ def channel_suite() -> list[CheckResult]:
     ]
 
 
-def _all_symbol_vectors(cfg: SystemConfig) -> np.ndarray:
-    """Every symbol vector (M^N, N), row x the one whose MSB-first labels are the
-    N log2(M) bits of x."""
-    n, k = cfg.n_subcarriers, cfg.bits_per_symbol
-    bits = int_to_bits(np.arange(2 ** (n * k)), n * k).reshape(-1, n, k)
-    return constellation_for(cfg)[bits_to_int(bits)]
-
-
 def _pattern_phi(
     values: np.ndarray, pattern: np.ndarray, symbols: np.ndarray, geometry, cfg
 ) -> np.ndarray:
@@ -155,7 +146,8 @@ def _pair_phis(alphabet, ctx: ObjectiveContext, pair: tuple[int, int]):
     cfg = ctx.cfg
     codeword_count(cfg)  # rejects a codebook above MAX_CODEWORDS before any symbol is built
     vals = _values_of(alphabet)
-    symbols = _all_symbol_vectors(cfg)
+    one = replace(cfg, alphabet_size=1)  # one pre-chirp: its codewords are the symbol vectors
+    symbols, _ = codeword_rows(one, np.arange(codeword_count(one)))
     return (
         tuple(_pattern_phi(vals, ctx.patterns[q], symbols, geometry, cfg) for q in (k, j))
         for geometry in ctx.placements

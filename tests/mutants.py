@@ -78,12 +78,39 @@ MUTANTS = (
     Mutant(
         "bound's bit distance counted over B - 1 bits",
         "analysis.py",
-        "int_to_bits(np.arange(2**b_total), b_total)",
-        "int_to_bits(np.arange(2**b_total), b_total - 1)",
+        "codeword_table(cfg).sum(axis=1)",
+        "codeword_table(cfg)[:, 1:].sum(axis=1)",
         (
             "tests/test_analysis.py::test_abep_curve_matches_scalar_upep_route",
             "tests/test_golden.py::test_seeded_csv_matches_golden",
         ),
+    ),
+    Mutant(
+        "detector's quadratic forms without the conjugate",
+        "detection.py",
+        "values.conj()[:, :, None]",
+        "values[:, :, None]",
+        (
+            "tests/test_detection.py::test_factor_forms_give_half_squared_norms",
+            "tests/test_detection.py::test_detect_matches_exhaustive_operator_search",
+        ),
+    ),
+    Mutant(
+        "diversity scan one column short of each support",
+        "analysis.py",
+        "_pair_spectra(phi[..., support])",
+        "_pair_spectra(phi[..., support[:-1]])",
+        (
+            "tests/test_analysis.py::test_diversity_scan_reads_the_supports_of_its_path_count",
+            "tests/test_golden.py::test_diversity_report_matches_golden",
+        ),
+    ),
+    Mutant(
+        "reduction suite's symbol vectors read from every codeword",
+        "suites.py",
+        "one = replace(cfg, alphabet_size=1)",
+        "one = cfg",
+        ("tests/test_acceptance.py::test_08_objective_reduction_scaling",),
     ),
     Mutant(
         "SystemConfig also accepts lambda = N/G - 1",

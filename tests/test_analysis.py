@@ -17,6 +17,7 @@ from afdm_pim.analysis import (
 )
 from afdm_pim.channel import delay_doppler_cells
 from afdm_pim.config import RandomSource, SystemConfig
+from afdm_pim.detection import path_image_tensor
 from afdm_pim.mapping import EnumerationCapExceeded, PreChirpAlphabet
 from afdm_pim.simulate import make_preset
 
@@ -26,7 +27,7 @@ BPSK42 = SystemConfig(n_subcarriers=4, n_groups=2, alphabet_size=2, max_doppler=
 
 def _support_rank(cfg, alphabet, support):
     """Minimum rank over every codeword pair on one support, read from the pair scan."""
-    spectra = analysis._pair_spectra(cfg, alphabet, support)
+    spectra = analysis._pair_spectra(path_image_tensor(cfg, alphabet, support))
     return min(int(np.count_nonzero(eigs, axis=1).min()) for _, eigs in spectra)
 
 
@@ -101,13 +102,11 @@ def test_upep_high_snr_slope_is_rank():
 
 def test_pair_scan_yields_every_pair_once_with_its_own_spectrum():
     # fig8_lo's 64 codewords, 2016 pairs, with two of its three paths in one cell
-    from afdm_pim.detection import path_image_tensor
-
     fig8 = make_preset("fig8_lo")
     support = delay_doppler_cells(fig8.cfg)[:2]
     scale = np.sqrt(np.array([2.0, 1.0]) / 3)
     phi = path_image_tensor(fig8.cfg, fig8.alphabet, support) * scale
-    rows = list(analysis._pair_spectra(fig8.cfg, fig8.alphabet, support, scale))
+    rows = list(analysis._pair_spectra(phi))
     assert [i for i, _ in rows] == list(range(len(phi) - 1))
     for i, eigs in rows:
         assert eigs.shape == (len(phi) - 1 - i, len(support))
@@ -136,7 +135,6 @@ def test_abep_high_snr_slope_matches_diversity():
 
 def test_abep_curve_matches_scalar_upep_route():
     # cross-check the batched bound against the documented per-pair operation
-    from afdm_pim.detection import path_image_tensor
     from afdm_pim.mapping import codeword_table, frame_bit_count
 
     cfg = SystemConfig(n_subcarriers=2, n_groups=1, alphabet_size=2, max_doppler=1)
@@ -181,20 +179,29 @@ def test_diversity_beyond_capacity_is_the_minimum_over_every_support():
 
 
 def test_diversity_scan_reads_the_supports_of_its_path_count(monkeypatch):
-    scans = []
+    builds, scans = [], []
 
-    def spy(cfg, alphabet, support):
-        scans.append(tuple(support))
-        return np.zeros((1, cfg.n_subcarriers, len(support)), dtype=complex)  # no pair
+    def images(cfg, alphabet, geometry):
+        builds.append(tuple(geometry))
+        # one codeword whose column p holds p: a scanned tensor names its columns
+        return np.broadcast_to(np.arange(len(geometry)), (1, cfg.n_subcarriers, len(geometry)))
 
-    monkeypatch.setattr(analysis, "path_image_tensor", spy)
+    def spectra(phi):
+        scans.append(tuple(int(p) for p in phi[0, 0]))
+        return iter(())  # no pair
+
+    monkeypatch.setattr(analysis, "path_image_tensor", images)
+    monkeypatch.setattr(analysis, "_pair_spectra", spectra)
     fig4 = make_preset("fig4")
     diversity_order(fig4.cfg, fig4.alphabet, 3)  # the distinct-cell placements
+    assert builds == [tuple(delay_doppler_cells(fig4.cfg))]  # one build over every cell
     assert len(scans) == 20
-    assert scans == list(combinations(delay_doppler_cells(fig4.cfg), 3))
+    assert scans == list(combinations(range(len(builds[0])), 3))
+    builds.clear()
     scans.clear()
     diversity_order(BPSK42, AL2, 4)  # 4 paths over 3 cells: the single cells
-    assert scans == [(cell,) for cell in delay_doppler_cells(BPSK42)]
+    assert builds == [tuple(delay_doppler_cells(BPSK42))]
+    assert scans == [(0,), (1,), (2,)]
 
 
 def test_bound_law_past_the_scan_limit_is_refused_before_it_is_built(monkeypatch):

@@ -617,6 +617,31 @@ def test_like_for_like_examples_run_the_fig7_channel(stem, changes):
         assert scenario.alphabet == fig7.alphabet
 
 
+@pytest.mark.parametrize(
+    "stem,changes,alphabet",
+    [
+        ("n4_pim", {"n_groups": 1, "alphabet_size": 4}, simulate.TABLE_ALPHABETS[4]),
+        (
+            "n4_classical_afdm",
+            {"n_groups": 1, "alphabet_size": 1, "constellation_order": 4},
+            (0.5,),
+        ),
+    ],
+)
+def test_n4_examples_run_the_fig8_lo_channel(stem, changes, alphabet):
+    # the README's N = 4 pair: fig8_lo's channel at 8 bits a frame, with PIM
+    # or with classical AFDM, theory rows included
+    path = Path(__file__).resolve().parents[1] / "examples" / f"{stem}.cfg"
+    scenario = scenario_from_sections(read_config_file(str(path)), name=stem)
+    fig8 = simulate.PRESETS["fig8_lo"]
+    assert scenario.cfg == replace(fig8.cfg, **changes)
+    assert frame_bit_count(scenario.cfg) == 8
+    assert scenario.alphabet.values == alphabet
+    assert scenario == replace(
+        fig8, name=stem, cfg=scenario.cfg, alphabet=scenario.alphabet, snr_grid_db=(20, 30)
+    )
+
+
 def test_readme_config_example_is_read(tmp_path):
     # the README's ini block is the fig4 preset with the published swarm tuning
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

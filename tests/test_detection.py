@@ -295,7 +295,7 @@ def test_factor_parts_sum_to_codeword_frames_in_payload_order(cfg, alphabet, n_h
 
 @pytest.mark.parametrize("cfg, alphabet, n_head, n_tail", SPLIT_CASES)
 def test_factor_forms_give_half_squared_norms(cfg, alphabet, n_head, n_tail):
-    # each form row against a Gram block is x G x^H / 2, computed directly here
+    # each form row against its diagonal Gram block is x G x^H / 2, computed directly here
     tables = factor_tables(cfg, alphabet)
     n, k = cfg.n_subcarriers, tables.n_head
     rng = RandomSource(43).generator()
@@ -305,8 +305,10 @@ def test_factor_forms_give_half_squared_norms(cfg, alphabet, n_head, n_tail):
         (tables.head, tables.head_forms, slice(0, k + 1)),
         (tables.tail, tables.tail_forms, slice(k + 1, n + 1)),
     ):
+        assert forms.shape == (len(values), 2 * values.shape[1] ** 2)
         expected = 0.5 * np.sum(np.abs(values @ rows[block]) ** 2, axis=1)
-        assert np.allclose(forms @ gram[block].view(float).ravel(), expected, rtol=1e-12, atol=1e-12)
+        got = forms @ gram[block, block].view(float).ravel()
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_codeword_time_signals_are_read_only():

@@ -6,14 +6,15 @@ or bound rewrite that moves one ML decision or one theory digit fails here.
 `fig8_hi_post_chirp_0.17` is the only case with an off-grid post-chirp, so
 the only one whose prefix correction is not identically 1. The two `fig7_*`
 cases of examples/ are the like-for-like pair: classical AFDM and AFDM-PIM on
-the fig7_pim channel, each config file at a small bit budget.
+the fig7_pim channel, each config file at a small bit budget. The two `n4_*`
+cases are the same pair at N = 4 on the fig8_lo channel, theory rows included.
 
 Each swarm case stores the designed alphabet's repr and the convergence log,
 so an optimizer rewrite that moves one swarm decision fails here.
 
 Each diversity case stores the stdout of `analyze --diversity` in
-tests/golden/diversity/, for two presets and for a configuration file with
-more paths than delay-Doppler cells.
+tests/golden/diversity/, for two presets, for a configuration file with
+more paths than delay-Doppler cells and for the N = 4 pair of examples/.
 
 An intended change to a golden file needs a reason in CHANGES.md. To rewrite
 the files from the current source:
@@ -88,6 +89,8 @@ CASES = {
     "fig8_hi_post_chirp_0.17": lambda: _case("fig8_hi", 1, 1000, theory=True, post_chirp=0.17),
     "fig7_classical_afdm_seed7": lambda: _example("fig7_classical_afdm", 7, 2500),
     "fig7_pim_short_seed7": lambda: _example("fig7_pim_short", 7, 2500),
+    "n4_classical_afdm_seed7": lambda: _example("n4_classical_afdm", 7, 5000),
+    "n4_pim_seed7": lambda: _example("n4_pim", 7, 5000),
 }
 
 
@@ -131,7 +134,8 @@ def test_seeded_swarm_matches_golden(stem):
 
 
 # file stem -> `analyze --diversity` input: a preset name, or the text of a
-# configuration file, here 4 paths over the 3 cells of d_max = 0, a_max = 1
+# configuration file: 4 paths over the 3 cells of d_max = 0, a_max = 1, or
+# an examples/ file
 DIVERSITY = {
     "fig8_lo": "fig8_lo",
     "fig8_hi": "fig8_hi",
@@ -139,6 +143,10 @@ DIVERSITY = {
         "[system]\nn_subcarriers = 4\nn_groups = 2\nalphabet_size = 2\nmax_doppler = 1\n"
         "\n[channel]\npaths = 4\n"
     ),
+    **{
+        stem: (EXAMPLES_DIR / f"{stem}.cfg").read_text(encoding="utf-8")
+        for stem in ("n4_pim", "n4_classical_afdm")
+    },
 }
 
 
